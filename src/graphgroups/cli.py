@@ -26,7 +26,6 @@ from .graphs import (
     parse_graph,
     resolve_name_collisions,
 )
-from .raag import GroupElement
 from .trace import Word
 
 
@@ -36,6 +35,8 @@ def _load_graph(path):
             text = handle.read()
     except OSError as exc:
         raise ParseError(f"cannot read file ({exc.strerror})", path) from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 (byte {exc.start})", path) from exc
     return parse_graph(text, filename=path)
 
 
@@ -44,6 +45,12 @@ def _parse_word(graph, text, monoid=False):
     if monoid and not word.is_positive:
         raise ValueError(f"inverse letters not allowed in a monoid word: {text!r}")
     return word
+
+
+def _check_bound(max_len):
+    # A bound below 1 covers no element, so its "ok" would certify nothing.
+    if max_len < 1:
+        raise ValueError("--max-len must be >= 1")
 
 
 def _bool_exit(value):
@@ -100,23 +107,18 @@ def cmd_word_reduce(args):
     return 0
 
 
-def cmd_word_normal_form(args):
+def cmd_predicate(args):
+    """``word`` or ``monoid`` ``equal``/``commute``: group_* or trace_* on
+    the two words."""
     g = _load_graph(args.graph)
-    print(GroupElement(g, _parse_word(g, args.word).letters))
-    return 0
-
-
-def cmd_word_equal(args):
-    g = _load_graph(args.graph)
+    monoid = args.command == "monoid"
+    module, prefix = (trace, "trace") if monoid else (raag, "group")
+    predicate = getattr(module, f"{prefix}_{args.subcommand}")
     return _bool_exit(
-        raag.group_equal(_parse_word(g, args.left), _parse_word(g, args.right))
-    )
-
-
-def cmd_word_commute(args):
-    g = _load_graph(args.graph)
-    return _bool_exit(
-        raag.group_commute(_parse_word(g, args.left), _parse_word(g, args.right))
+        predicate(
+            _parse_word(g, args.left, monoid=monoid),
+            _parse_word(g, args.right, monoid=monoid),
+        )
     )
 
 
@@ -146,8 +148,9 @@ def cmd_group_centralizer(args):
         _parse_word(g, args.left), _parse_word(g, args.right)
     )
     print(f"status={outcome.status}")
-    if not outcome.found:
+    if outcome.status == "no-witness-within-bound":
         print(f"bound={outcome.bound}")
+    if not outcome.found:
         return 1
     w = outcome.witness
     print(f"p = {w.p}")
@@ -158,26 +161,6 @@ def cmd_group_centralizer(args):
 
 
 # -- monoid commands ---------------------------------------------------------
-
-
-def cmd_monoid_equal(args):
-    g = _load_graph(args.graph)
-    return _bool_exit(
-        trace.trace_equal(
-            _parse_word(g, args.left, monoid=True),
-            _parse_word(g, args.right, monoid=True),
-        )
-    )
-
-
-def cmd_monoid_commute(args):
-    g = _load_graph(args.graph)
-    return _bool_exit(
-        trace.trace_commute(
-            _parse_word(g, args.left, monoid=True),
-            _parse_word(g, args.right, monoid=True),
-        )
-    )
 
 
 def cmd_monoid_root(args):
@@ -199,14 +182,11 @@ def cmd_monoid_product_embed(args):
     for x, y in table.sigma_coords:
         print(f"sigma {x} {y}")
     for text, word in words:
-        coords = table.evaluate(word)
-        counts = coords[: table.rank1_count]
-        subsequences = coords[table.rank1_count :]
-        parts = [
-            f"rho({v})={c}" for v, c in zip(table.rho_coords, counts)
-        ] + [
-            f"sigma({x},{y})={'.'.join(seq) if seq else '-'}"
-            for (x, y), seq in zip(table.sigma_coords, subsequences)
+        coords = iter(table.evaluate(word))  # the counts, then the subsequences
+        parts = [f"rho({v})={c}" for v, c in zip(table.rho_coords, coords)]
+        parts += [
+            f"sigma({x},{y})={'.'.join(seq) or '-'}"
+            for (x, y), seq in zip(table.sigma_coords, coords)
         ]
         print(f"coords {text}: " + " ".join(parts))
     return 0
@@ -224,24 +204,15 @@ def cmd_monoid_comm_rank(args):
 def cmd_search_phi(args):
     target = _load_graph(args.target)
     ambient = _load_graph(args.ambient)
-    if args.max_len < 1:
-        raise ValueError("--max-len must be >= 1")
+    _check_bound(args.max_len)
     report = phi_search(
-        target,
-        ambient,
-        args.mode,
-        args.max_len,
-        strict=args.strict,
-        jobs=args.jobs,
+        target, ambient, args.mode, args.max_len, strict=args.strict
     )
-    if args.format == "records":
-        print(report.serialize(), end="")
-    else:
-        print(f"status={report.status} bound={report.bound}")
-        if report.witness is not None:
-            for v in target.vertices:
-                print(f"witness {v}={report.witness[v]}")
-        print(f"candidates={report.candidates}")
+    lines = report.serialize().splitlines()
+    if args.format == "text":  # status and bound on one line, then the count
+        lines[:2] = [" ".join(lines[:2])]
+        lines.append(f"candidates={report.candidates}")
+    print("\n".join(lines))
     return 0 if report.found else 1
 
 
@@ -266,12 +237,9 @@ def cmd_conceal_build(args):
 
 def cmd_conceal_verify(args):
     g = _load_graph(args.graph)
+    _check_bound(args.max_len)
     result = conceal_mod.build_concealment(g)
-    ok = True
-
     no_embed = conceal_mod.verify_no_embedding(result)
-    ok &= no_embed
-    print(f"no-embedding: {'ok' if no_embed else 'FAILED'}")
 
     family = conceal_mod.monoid_phi_witness(result)
     cg = commutation_graph(family)
@@ -282,23 +250,79 @@ def cmd_conceal_verify(args):
         for i in range(len(gverts))
         for j in range(i + 1, len(gverts))
     )
-    ok &= matches
-    print(f"phi-witness: {'ok' if matches else 'FAILED'}")
 
-    report = conceal_mod.verify_tau_injective(result, args.max_len, jobs=args.jobs)
-    morphism_ok = not report.morphism_failures
-    ok &= morphism_ok
-    print(f"tau-morphism: {'ok' if morphism_ok else 'FAILED'}")
-    injective_ok = not report.collisions
-    ok &= injective_ok
-    print(
-        f"tau-injective: {'ok' if injective_ok else 'FAILED'} "
-        f"(bound={report.bound}, elements={report.element_count})"
+    report = conceal_mod.verify_tau_injective(result, args.max_len)
+    checks = (
+        ("no-embedding", no_embed, ""),
+        ("phi-witness", matches, ""),
+        ("tau-morphism", not report.morphism_failures, ""),
+        ("tau-injective", not report.collisions,
+         f" (bound={report.bound}, elements={report.element_count})"),
     )
-    return 0 if ok else 1
+    for name, ok, note in checks:
+        print(f"{name}: {'ok' if ok else 'FAILED'}{note}")
+    return 0 if all(ok for _, ok, _ in checks) else 1
 
 
 # -- parser ---------------------------------------------------------------------
+
+
+_REQUIRED = {"required": True}
+_FILE = (("graph", {}),)
+_ON_GRAPH = (("--graph", _REQUIRED),)
+_WORD = _ON_GRAPH + (("word", {}),)
+_PAIR = _ON_GRAPH + (("left", {}), ("right", {}))
+# Accepted so existing scripts keep working; every search runs on one thread.
+_JOBS = ("--jobs", {"type": int, "default": 1, "help": "accepted and ignored"})
+
+GROUPS = (
+    ("graph", "graph constructions and queries"),
+    ("word", "group-word operations"),
+    ("group", "group structure operations"),
+    ("monoid", "trace monoid operations"),
+    ("search", "bounded realizability search"),
+    ("conceal", "concealment construction"),
+)
+
+# (group, name, handler, help, arguments as (name or flag, add_argument
+# keywords) pairs)
+COMMANDS = (
+    ("graph", "info", cmd_graph_info, "summary of a graph file", _FILE),
+    ("graph", "complement", cmd_graph_complement, "complement graph", _FILE),
+    ("graph", "product", cmd_graph_product, "connected product of two graphs",
+     (("left", {}), ("right", {}))),
+    ("graph", "embed", cmd_graph_embed, "induced-subgraph embedding search",
+     (("--pattern", _REQUIRED), ("--host", _REQUIRED))),
+    ("word", "reduce", cmd_word_reduce, "canonical geodesic form", _WORD),
+    ("word", "equal", cmd_predicate, "group equality", _PAIR),
+    ("word", "commute", cmd_predicate, "group commutation", _PAIR),
+    ("group", "cyclic-reduce", cmd_group_cyclic_reduce, "p h p^-1 decomposition", _WORD),
+    ("group", "pure-factors", cmd_group_pure_factors,
+     "pure factors of a cyclically reduced element", _WORD),
+    ("group", "centralizer", cmd_group_centralizer, "bounded centralizer witness search", _PAIR),
+    ("monoid", "equal", cmd_predicate, "projection-based equality", _PAIR),
+    ("monoid", "commute", cmd_predicate, "monoid commutation", _PAIR),
+    ("monoid", "root", cmd_monoid_root, "primitive root and exponent", _WORD),
+    ("monoid", "product-embed", cmd_monoid_product_embed, "free-product embedding table",
+     _ON_GRAPH + (("words", {"nargs": "*"}),)),
+    ("monoid", "comm-rank", cmd_monoid_comm_rank, "largest free commutative rank", _ON_GRAPH),
+    ("search", "phi", cmd_search_phi, "realize a target commutation graph", (
+        ("--target", _REQUIRED),
+        ("--ambient", _REQUIRED),
+        ("--mode", {"choices": ("monoid", "group"), "required": True}),
+        ("--max-len", {"type": int, "required": True}),
+        ("--strict", {"action": "store_true", "help": "require pairwise-distinct elements"}),
+        _JOBS,
+        ("--format", {"choices": ("text", "records"), "default": "text"}),
+    )),
+    ("conceal", "check", cmd_conceal_check, "eligibility with diagnostics", _FILE),
+    ("conceal", "build", cmd_conceal_build, "build and print the concealment", _FILE),
+    ("conceal", "verify", cmd_conceal_verify, "run all concealment checks",
+     _FILE + (("--max-len", {"type": int, "default": 3}), _JOBS)),
+)
+
+# ``word normal-form`` prints the same canonical form as ``word reduce``.
+ALIASES = {("word", "reduce"): ["normal-form"]}
 
 
 def build_parser():
@@ -307,111 +331,17 @@ def build_parser():
         description="Graph monoid and graph group toolkit",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    graph = sub.add_parser("graph", help="graph constructions and queries")
-    graph_sub = graph.add_subparsers(dest="subcommand", required=True)
-    p = graph_sub.add_parser("info", help="summary of a graph file")
-    p.add_argument("graph")
-    p.set_defaults(func=cmd_graph_info)
-    p = graph_sub.add_parser("complement", help="complement graph")
-    p.add_argument("graph")
-    p.set_defaults(func=cmd_graph_complement)
-    p = graph_sub.add_parser("product", help="connected product of two graphs")
-    p.add_argument("left")
-    p.add_argument("right")
-    p.set_defaults(func=cmd_graph_product)
-    p = graph_sub.add_parser("embed", help="induced-subgraph embedding search")
-    p.add_argument("--pattern", required=True)
-    p.add_argument("--host", required=True)
-    p.set_defaults(func=cmd_graph_embed)
-
-    word = sub.add_parser("word", help="group-word operations")
-    word_sub = word.add_subparsers(dest="subcommand", required=True)
-    p = word_sub.add_parser("reduce", help="canonical geodesic form")
-    p.add_argument("--graph", required=True)
-    p.add_argument("word")
-    p.set_defaults(func=cmd_word_reduce)
-    p = word_sub.add_parser("normal-form", help="canonical form of a word")
-    p.add_argument("--graph", required=True)
-    p.add_argument("word")
-    p.set_defaults(func=cmd_word_normal_form)
-    p = word_sub.add_parser("equal", help="group equality")
-    p.add_argument("--graph", required=True)
-    p.add_argument("left")
-    p.add_argument("right")
-    p.set_defaults(func=cmd_word_equal)
-    p = word_sub.add_parser("commute", help="group commutation")
-    p.add_argument("--graph", required=True)
-    p.add_argument("left")
-    p.add_argument("right")
-    p.set_defaults(func=cmd_word_commute)
-
-    group = sub.add_parser("group", help="group structure operations")
-    group_sub = group.add_subparsers(dest="subcommand", required=True)
-    p = group_sub.add_parser("cyclic-reduce", help="p h p^-1 decomposition")
-    p.add_argument("--graph", required=True)
-    p.add_argument("word")
-    p.set_defaults(func=cmd_group_cyclic_reduce)
-    p = group_sub.add_parser("pure-factors", help="pure factors of a cyclically reduced element")
-    p.add_argument("--graph", required=True)
-    p.add_argument("word")
-    p.set_defaults(func=cmd_group_pure_factors)
-    p = group_sub.add_parser("centralizer", help="bounded centralizer witness search")
-    p.add_argument("--graph", required=True)
-    p.add_argument("left")
-    p.add_argument("right")
-    p.set_defaults(func=cmd_group_centralizer)
-
-    monoid = sub.add_parser("monoid", help="trace monoid operations")
-    monoid_sub = monoid.add_subparsers(dest="subcommand", required=True)
-    p = monoid_sub.add_parser("equal", help="projection-based equality")
-    p.add_argument("--graph", required=True)
-    p.add_argument("left")
-    p.add_argument("right")
-    p.set_defaults(func=cmd_monoid_equal)
-    p = monoid_sub.add_parser("commute", help="monoid commutation")
-    p.add_argument("--graph", required=True)
-    p.add_argument("left")
-    p.add_argument("right")
-    p.set_defaults(func=cmd_monoid_commute)
-    p = monoid_sub.add_parser("root", help="primitive root and exponent")
-    p.add_argument("--graph", required=True)
-    p.add_argument("word")
-    p.set_defaults(func=cmd_monoid_root)
-    p = monoid_sub.add_parser("product-embed", help="free-product embedding table")
-    p.add_argument("--graph", required=True)
-    p.add_argument("words", nargs="*")
-    p.set_defaults(func=cmd_monoid_product_embed)
-    p = monoid_sub.add_parser("comm-rank", help="largest free commutative rank")
-    p.add_argument("--graph", required=True)
-    p.set_defaults(func=cmd_monoid_comm_rank)
-
-    search = sub.add_parser("search", help="bounded realizability search")
-    search_sub = search.add_subparsers(dest="subcommand", required=True)
-    p = search_sub.add_parser("phi", help="realize a target commutation graph")
-    p.add_argument("--target", required=True)
-    p.add_argument("--ambient", required=True)
-    p.add_argument("--mode", choices=("monoid", "group"), required=True)
-    p.add_argument("--max-len", type=int, required=True)
-    p.add_argument("--strict", action="store_true", help="require pairwise-distinct elements")
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--format", choices=("text", "records"), default="text")
-    p.set_defaults(func=cmd_search_phi)
-
-    con = sub.add_parser("conceal", help="concealment construction")
-    con_sub = con.add_subparsers(dest="subcommand", required=True)
-    p = con_sub.add_parser("check", help="eligibility with diagnostics")
-    p.add_argument("graph")
-    p.set_defaults(func=cmd_conceal_check)
-    p = con_sub.add_parser("build", help="build and print the concealment")
-    p.add_argument("graph")
-    p.set_defaults(func=cmd_conceal_build)
-    p = con_sub.add_parser("verify", help="run all concealment checks")
-    p.add_argument("graph")
-    p.add_argument("--max-len", type=int, default=3)
-    p.add_argument("--jobs", type=int, default=1)
-    p.set_defaults(func=cmd_conceal_verify)
-
+    groups = {}
+    for name, help_text in GROUPS:
+        group = sub.add_parser(name, help=help_text)
+        groups[name] = group.add_subparsers(dest="subcommand", required=True)
+    for group, name, handler, help_text, arguments in COMMANDS:
+        p = groups[group].add_parser(
+            name, help=help_text, aliases=ALIASES.get((group, name), [])
+        )
+        for flag, options in arguments:
+            p.add_argument(flag, **options)
+        p.set_defaults(func=handler)
     return parser
 
 
@@ -423,16 +353,14 @@ def main(argv=None):
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValueError, OSError) as exc:  # ParseError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
 
 def run():
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

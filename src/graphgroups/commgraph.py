@@ -12,13 +12,17 @@ carries.
 from __future__ import annotations
 
 import itertools
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .graphs import Graph
-from .raag import GroupElement, group_commute
-from .trace import Word, lex_normal_letters, trace_commute, word_key
+from .raag import GroupElement, group_commute, group_reduce
+from .trace import (
+    Word,
+    lex_normal_letters,
+    trace_commute,
+    trace_normal_form,
+    word_key,
+)
 
 MODES = ("monoid", "group")
 
@@ -41,17 +45,11 @@ class ElementFamily:
                     m = m.word()
                 if not m.is_positive:
                     raise ValueError("monoid family member with inverse letters")
-                if m.graph != ambient:
-                    raise ValueError("family member over a different graph")
-                canonical.append(
-                    Word(ambient, lex_normal_letters(ambient, m.letters))
-                )
-            else:
-                if isinstance(m, Word):
-                    m = GroupElement(m.graph, m.letters)
-                if m.graph != ambient:
-                    raise ValueError("family member over a different graph")
-                canonical.append(m)
+            if m.graph != ambient:
+                raise ValueError("family member over a different graph")
+            canonical.append(
+                trace_normal_form(m) if mode == "monoid" else group_reduce(m)
+            )
         object.__setattr__(self, "ambient", ambient)
         object.__setattr__(self, "mode", mode)
         object.__setattr__(self, "members", tuple(canonical))
@@ -151,7 +149,7 @@ def _iter_bits(mask):
         mask ^= low
 
 
-def phi_search(target, ambient, mode, max_len, strict=False, jobs=1):
+def phi_search(target, ambient, mode, max_len, strict=False):
     """Bounded search for a family realizing the target commutation graph.
 
     Candidates are all distinct canonical elements of the ambient monoid or
@@ -160,9 +158,8 @@ def phi_search(target, ambient, mode, max_len, strict=False, jobs=1):
     ``strict`` requires pairwise-distinct elements (the subset reading); the
     default allows repeats. A found witness is re-verified on all pairs,
     with fresh commutation computations, before the report is returned.
-    With ``jobs > 1`` the choice of the first vertex's element fans out
-    across worker threads; the earliest candidate's result wins, so reports
-    are deterministic. ``candidates`` in the report counts assignments tried.
+    The search is a single depth-first pass, so reports are deterministic.
+    ``candidates`` in the report counts assignments tried.
     """
     if max_len < 1:
         raise ValueError("max_len must be a positive integer")
@@ -178,7 +175,6 @@ def phi_search(target, ambient, mode, max_len, strict=False, jobs=1):
     want_edge = [
         [target.adjacent(tverts[i], tverts[j]) for j in range(n)] for i in range(n)
     ]
-    cancel = threading.Event()
 
     def allowed_for(level, assign):
         allowed = full
@@ -189,47 +185,21 @@ def phi_search(target, ambient, mode, max_len, strict=False, jobs=1):
                 allowed &= full ^ (1 << a)
         return allowed
 
-    def dfs(assign, allowed, counter):
-        if cancel.is_set():
-            return None
-        for c in _iter_bits(allowed):
-            counter[0] += 1
+    examined = 0
+
+    def dfs(assign):
+        """Extend assign to all n vertices in place; False when it cannot."""
+        nonlocal examined
+        for c in _iter_bits(allowed_for(len(assign), assign)):
+            examined += 1
             assign.append(c)
-            if len(assign) == n:
-                return list(assign)
-            result = dfs(assign, allowed_for(len(assign), assign), counter)
-            if result is not None:
-                return result
+            if len(assign) == n or dfs(assign):
+                return True
             assign.pop()
-        return None
+        return False
 
-    if jobs <= 1:
-        counter = [0]
-        found = dfs([], full, counter)
-        examined = counter[0]
-    else:
-        def task(first):
-            if cancel.is_set():
-                return None, 0
-            counter = [1]
-            assign = [first]
-            if n == 1:
-                return assign, counter[0]
-            result = dfs(assign, allowed_for(1, assign), counter)
-            return result, counter[0]
-
-        found = None
-        examined = 0
-        with ThreadPoolExecutor(max_workers=jobs) as executor:
-            futures = [executor.submit(task, c0) for c0 in range(len(pool))]
-            for future in futures:
-                result, count = future.result()
-                examined += count
-                if result is not None and found is None:
-                    found = result
-                    cancel.set()
-
-    if found is None:
+    found = []
+    if not dfs(found):
         return RealizationReport(target, "exhausted", None, max_len, examined)
     assignment = [pool[c] for c in found]
     _verify_witness(target, mode, assignment)

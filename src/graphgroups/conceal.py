@@ -16,7 +16,6 @@ reports state the bound.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .commgraph import ElementFamily, canonical_elements
@@ -170,38 +169,27 @@ class TauInjectivityReport:
         return not self.morphism_failures and not self.collisions
 
 
-def verify_tau_injective(result, max_len, jobs=1):
+def verify_tau_injective(result, max_len):
     """Check well-definedness on the defining relations and injectivity on
     the ball of canonical elements of length <= max_len.
 
     Injectivity is checked by hashing canonical image forms: a collision of
     images is exactly a pair of distinct elements the morphism identifies.
     """
+    if max_len < 1:
+        raise ValueError("max_len must be a positive integer")
     gamma, omega = result.gamma, result.omega
-    failures = []
-    for a, b in gamma.edges():
-        ta = GroupElement(omega, result.tau[a].letters)
-        tb = GroupElement(omega, result.tau[b].letters)
-        if not group_commute(ta, tb):
-            failures.append((a, b))
+    failures = [
+        (a, b)
+        for a, b in gamma.edges()
+        if not group_commute(result.tau[a], result.tau[b])
+    ]
 
     ball = canonical_elements(gamma, "group", max_len)
-
-    def image_letters(element):
-        return GroupElement(omega, result.apply_tau(element.word()).letters).letters
-
-    if jobs <= 1:
-        images = [image_letters(el) for el in ball]
-    else:
-        chunk = max(1, (len(ball) + jobs - 1) // jobs)
-        chunks = [ball[i : i + chunk] for i in range(0, len(ball), chunk)]
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            parts = pool.map(lambda part: [image_letters(el) for el in part], chunks)
-            images = [img for part in parts for img in part]
-
     seen = {}
     collisions = []
-    for element, img in zip(ball, images):
+    for element in ball:
+        img = GroupElement(omega, result.apply_tau(element.word()).letters).letters
         if img in seen:
             collisions.append((seen[img], element))
         else:

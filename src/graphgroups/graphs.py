@@ -130,26 +130,19 @@ def standard_graph(name):
         return standard_graph("cycle(4)")
     if l3:
         return standard_graph("path(4)")
+    n = int(ei) + 2 * int(ej) if ei is not None else int(kn or cn or pn)
+    verts = [f"v{k}" for k in range(1, n + 1)]
     if ei is not None:
-        i, j = int(ei), int(ej)
-        n = i + 2 * j
-        verts = [f"v{k}" for k in range(1, n + 1)]
-        edges = [(verts[i + 2 * k], verts[i + 2 * k + 1]) for k in range(j)]
-        return Graph(verts, edges)
-    if kn is not None:
-        n = int(kn)
-        verts = [f"v{k}" for k in range(1, n + 1)]
-        return Graph(verts, itertools.combinations(verts, 2))
-    if cn is not None:
-        n = int(cn)
+        i = int(ei)
+        edges = [(verts[i + 2 * k], verts[i + 2 * k + 1]) for k in range(int(ej))]
+    elif kn is not None:
+        edges = itertools.combinations(verts, 2)
+    elif cn is not None:
         if n < 3:
             raise ValueError("cycle(n) needs n >= 3")
-        verts = [f"v{k}" for k in range(1, n + 1)]
         edges = [(verts[k], verts[(k + 1) % n]) for k in range(n)]
-        return Graph(verts, edges)
-    n = int(pn)
-    verts = [f"v{k}" for k in range(1, n + 1)]
-    edges = [(verts[k], verts[k + 1]) for k in range(n - 1)]
+    else:
+        edges = [(verts[k], verts[k + 1]) for k in range(n - 1)]
     return Graph(verts, edges)
 
 

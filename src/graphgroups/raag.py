@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from .graphs import co_components, induced
 from .trace import (
     Word,
+    check_letters,
     iter_trace_prefixes,
     letter_key,
     letters_commute,
@@ -33,24 +34,40 @@ from .trace import (
 )
 
 
-def _reduce_letters(graph, letters):
-    out = []
+def _insert(graph, stack, letters, origins=None):
+    """Push letters in turn onto a reduced word held as a stack.
+
+    Each letter scans backward past letters with adjacent bases; on meeting
+    its inverse both cancel, otherwise it is appended. ``origins``, if
+    given, is kept parallel to the stack: pushed letters get None, and a
+    cancelled letter's entry is removed. Callers prime the stack with a
+    reduced word, so cancelling a letter of origin None is an error.
+    """
     for letter in letters:
         base, sign = letter
         cancelled = False
-        j = len(out) - 1
+        j = len(stack) - 1
         while j >= 0:
-            b2, s2 = out[j]
+            b2, s2 = stack[j]
             if b2 == base:
                 if s2 != sign:
-                    del out[j]
+                    del stack[j]
                     cancelled = True
+                    if origins is not None and origins.pop(j) is None:
+                        raise AssertionError("cancellation inside a reduced factor")
                 break
             if b2 not in graph.neighbors(base):
                 break
             j -= 1
         if not cancelled:
-            out.append(letter)
+            stack.append(letter)
+            if origins is not None:
+                origins.append(None)
+
+
+def _reduce_letters(graph, letters):
+    out = []
+    _insert(graph, out, letters)
     return tuple(out)
 
 
@@ -64,12 +81,7 @@ class GroupElement:
     __slots__ = ("graph", "letters")
 
     def __init__(self, graph, letters=()):
-        letters = tuple(letters)
-        for base, sign in letters:
-            if base not in graph:
-                raise ValueError(f"unknown vertex {base!r}")
-            if sign not in (1, -1):
-                raise ValueError(f"letter sign must be +1 or -1, got {sign}")
+        letters = check_letters(graph, tuple(letters))
         self.graph = graph
         self.letters = lex_normal_letters(graph, _reduce_letters(graph, letters))
 
@@ -124,7 +136,9 @@ class GroupElement:
         return f"GroupElement({str(self)!r})"
 
 
-def _as_element(x):
+def group_reduce(x):
+    """Canonical geodesic representative of the element a word spells
+    (an element is returned as it is)."""
     if isinstance(x, GroupElement):
         return x
     if isinstance(x, Word):
@@ -132,26 +146,21 @@ def _as_element(x):
     raise TypeError(f"expected Word or GroupElement, got {type(x).__name__}")
 
 
-def group_reduce(word):
-    """Canonical geodesic representative of the element a word spells."""
-    return _as_element(word)
-
-
 def group_equal(u, v):
-    u, v = _as_element(u), _as_element(v)
+    u, v = group_reduce(u), group_reduce(v)
     if u.graph != v.graph:
         raise ValueError("elements over different ambient graphs")
     return u.letters == v.letters
 
 
 def support(g):
-    return _as_element(g).support()
+    return group_reduce(g).support()
 
 
 def commutes_totally(u, v):
     """Every support vertex of u is adjacent (or equal) to every support
     vertex of v."""
-    u, v = _as_element(u), _as_element(v)
+    u, v = group_reduce(u), group_reduce(v)
     graph = u.graph
     return all(
         graph.adjacent(x, y) for x in u.support() for y in v.support()
@@ -159,7 +168,7 @@ def commutes_totally(u, v):
 
 
 def group_commute(u, v):
-    u, v = _as_element(u), _as_element(v)
+    u, v = group_reduce(u), group_reduce(v)
     return group_equal(u * v, v * u)
 
 
@@ -174,41 +183,21 @@ def multiply_factorize(u, v):
     of u (cancellation in a product of two reduced words only ever pairs a
     letter of v against a letter of u).
     """
-    u, v = _as_element(u), _as_element(v)
+    u, v = group_reduce(u), group_reduce(v)
     if u.graph != v.graph:
         raise ValueError("elements over different ambient graphs")
     graph = u.graph
-    stack = [(letter, i) for i, letter in enumerate(u.letters)]
-    cancelled_u = set()
-    surviving_v = []
-    for letter in v.letters:
-        base, sign = letter
-        cancelled = False
-        j = len(stack) - 1
-        while j >= 0:
-            (b2, s2), origin = stack[j]
-            if b2 == base:
-                if s2 != sign:
-                    if origin is None:
-                        raise AssertionError(
-                            "cancellation inside a reduced factor"
-                        )
-                    cancelled_u.add(origin)
-                    del stack[j]
-                    cancelled = True
-                break
-            if b2 not in graph.neighbors(base):
-                break
-            j -= 1
-        if not cancelled:
-            stack.append((letter, None))
-            surviving_v.append(letter)
-    u_rest = tuple(l for i, l in enumerate(u.letters) if i not in cancelled_u)
-    x_letters = tuple(l for i, l in enumerate(u.letters) if i in cancelled_u)
+    stack = list(u.letters)
+    origins = list(range(len(stack)))  # index into u, or None for v's letters
+    _insert(graph, stack, v.letters, origins)
+    kept = set(origins)
+    u_rest = tuple(l for i, l in enumerate(u.letters) if i in kept)
+    x_letters = tuple(l for i, l in enumerate(u.letters) if i not in kept)
+    v_rest = tuple(l for l, origin in zip(stack, origins) if origin is None)
     return (
         GroupElement(graph, u_rest),
         GroupElement(graph, x_letters),
-        GroupElement(graph, tuple(surviving_v)),
+        GroupElement(graph, v_rest),
     )
 
 
@@ -245,7 +234,7 @@ def _strip_candidate(graph, letters):
 
 
 def is_cyclically_reduced(g):
-    g = _as_element(g)
+    g = group_reduce(g)
     return _strip_candidate(g.graph, g.letters) is None
 
 
@@ -253,7 +242,7 @@ def cyclic_reduce(g):
     """Peel conjugating letters: repeatedly strip a front-movable letter and
     its back-movable inverse, accumulating the former into p. Each step drops
     the length by two, so this terminates at the cyclic reduction."""
-    g = _as_element(g)
+    g = group_reduce(g)
     graph = g.graph
     word = list(g.letters)
     p_letters = []
@@ -312,7 +301,7 @@ def _group_primitive_root(element):
 def pure_factors(h):
     """Factor a cyclically reduced element over the co-components of its
     support subgraph, each block reduced to a primitive power."""
-    h = _as_element(h)
+    h = group_reduce(h)
     if not is_cyclically_reduced(h):
         raise ValueError("pure factors require a cyclically reduced element")
     graph = h.graph
@@ -380,7 +369,7 @@ def centralizer_witness(g, k, bound=None):
     k2 = k1^-1 (p^-1 k p); a witness is returned for the first c, in an
     enumeration favouring small exponents, whose k2 commutes totally with h.
     """
-    g, k = _as_element(g), _as_element(k)
+    g, k = group_reduce(g), group_reduce(k)
     if g.graph != k.graph:
         raise ValueError("elements over different ambient graphs")
     decomposition = cyclic_reduce(g)

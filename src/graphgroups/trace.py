@@ -16,6 +16,7 @@ it is the canonical representative underlying ``trace_normal_form``.
 from __future__ import annotations
 
 import itertools
+import operator
 
 from .graphs import clique_number
 
@@ -33,6 +34,17 @@ def word_key(letters):
     return tuple(letter_key(l) for l in letters)
 
 
+def check_letters(graph, letters):
+    """The letters, once every base is a vertex of graph and every sign is
+    +1 or -1."""
+    for base, sign in letters:
+        if base not in graph:
+            raise ValueError(f"unknown vertex {base!r}")
+        if sign not in (1, -1):
+            raise ValueError(f"letter sign must be +1 or -1, got {sign}")
+    return letters
+
+
 class Word:
     """An immutable sequence of signed letters over an ambient graph.
 
@@ -45,14 +57,10 @@ class Word:
     __slots__ = ("graph", "letters")
 
     def __init__(self, graph, letters=()):
-        letters = tuple((str(b), int(s)) for b, s in letters)
-        for base, sign in letters:
-            if base not in graph:
-                raise ValueError(f"unknown vertex {base!r}")
-            if sign not in (1, -1):
-                raise ValueError(f"letter sign must be +1 or -1, got {sign}")
         self.graph = graph
-        self.letters = letters
+        self.letters = check_letters(
+            graph, tuple((str(b), int(s)) for b, s in letters)
+        )
 
     @classmethod
     def parse(cls, graph, text):
@@ -125,13 +133,24 @@ def _require_same_graph(u, v):
 # -- projections -------------------------------------------------------
 
 
+def _coordinates(word, vertices, pairs):
+    """Projections of a word, lazily: the letter count of each vertex in
+    ``vertices`` (rank-1), then the base subsequence of each pair in
+    ``pairs`` (rank-2)."""
+    letters = word.letters
+    for x in vertices:
+        yield sum(1 for b, _ in letters if b == x)
+    for x, y in pairs:
+        yield tuple(b for b, _ in letters if b == x or b == y)
+
+
 def project_rho(word, x):
     """Occurrences of vertex x in a monoid word (the image in the rank-1
     free monoid is determined by its length)."""
     _require_monoid(word)
     if x not in word.graph:
         raise ValueError(f"unknown vertex {x!r}")
-    return sum(1 for b, _ in word.letters if b == x)
+    return next(_coordinates(word, (x,), ()))
 
 
 def project_sigma(word, x, y):
@@ -147,11 +166,7 @@ def project_sigma(word, x, y):
         raise ValueError(f"unknown vertex {bad!r}")
     if x == y or g.adjacent(x, y):
         raise ValueError(f"pair ({x!r}, {y!r}) is not a non-adjacent pair")
-    return Word(g, tuple(l for l in word.letters if l[0] in (x, y)))
-
-
-def _sigma_bases(word, x, y):
-    return tuple(b for b, _ in word.letters if b == x or b == y)
+    return Word(g, tuple((b, 1) for b in next(_coordinates(word, (), ((x, y),)))))
 
 
 # -- equality, normal form, commutation --------------------------------
@@ -166,15 +181,8 @@ def trace_equal(u, v):
     if len(u) != len(v):
         return False
     g = u.graph
-    for x in g.vertices:
-        if sum(1 for b, _ in u.letters if b == x) != sum(
-            1 for b, _ in v.letters if b == x
-        ):
-            return False
-    for x, y in g.non_adjacent_pairs():
-        if _sigma_bases(u, x, y) != _sigma_bases(v, x, y):
-            return False
-    return True
+    coords = (g.vertices, g.non_adjacent_pairs())
+    return all(map(operator.eq, _coordinates(u, *coords), _coordinates(v, *coords)))
 
 
 def lex_normal_letters(graph, letters):
@@ -233,10 +241,8 @@ def trace_commute(u, v):
     _require_monoid(u)
     _require_monoid(v)
     _require_same_graph(u, v)
-    for x, y in u.graph.non_adjacent_pairs():
-        if not _free_commute(_sigma_bases(u, x, y), _sigma_bases(v, x, y)):
-            return False
-    return True
+    pairs = u.graph.non_adjacent_pairs()
+    return all(map(_free_commute, _coordinates(u, (), pairs), _coordinates(v, (), pairs)))
 
 
 # -- primitive roots ---------------------------------------------------
@@ -319,13 +325,7 @@ class ProductEmbeddingTable:
         _require_monoid(word)
         if word.graph != self.graph:
             raise ValueError("word over a different ambient graph")
-        counts = tuple(
-            sum(1 for b, _ in word.letters if b == x) for x in self.rho_coords
-        )
-        subsequences = tuple(
-            _sigma_bases(word, x, y) for x, y in self.sigma_coords
-        )
-        return counts + subsequences
+        return tuple(_coordinates(word, self.rho_coords, self.sigma_coords))
 
 
 def embed_into_product(graph):

@@ -202,11 +202,11 @@ def test_06_square_realizability_in_groups():
         has_square = find_embedding(c4, ambient) is not None
         if has_square:
             with_square += 1
-            report = phi_search(c4, ambient, "group", 1, jobs=4)
+            report = phi_search(c4, ambient, "group", 1)
             if not report.found:
                 failures.append(("expected found", ambient.edges()))
         else:
-            report = phi_search(c4, ambient, "group", 2, jobs=4)
+            report = phi_search(c4, ambient, "group", 2)
             if report.status != "exhausted":
                 failures.append(("expected exhausted", ambient.edges()))
     if with_square != 1:

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from graphgroups import cli
@@ -139,6 +144,7 @@ class TestGroupCommands:
         )
         assert code == 1
         assert "status=proved-non-commuting" in out
+        assert not any(line.startswith("bound=") for line in out.splitlines())
 
 
 class TestMonoidCommands:
@@ -281,6 +287,15 @@ class TestConcealCommands:
         assert "tau-morphism: ok" in out
         assert "tau-injective: ok" in out
 
+    @pytest.mark.parametrize("bound", ["0", "-1"])
+    def test_verify_rejects_bound_below_one(self, files, capsys, bound):
+        code, out, err = run(
+            capsys, ["conceal", "verify", files["e30"], "--max-len", bound]
+        )
+        assert code == 2
+        assert out == ""
+        assert "--max-len" in err
+
 
 class TestErrorsAndUsage:
     def test_unreadable_file(self, files, capsys, tmp_path):
@@ -295,12 +310,81 @@ class TestErrorsAndUsage:
         assert code == 2
         assert "bad.graph:2" in err
 
+    def test_non_utf8_file_named(self, capsys, tmp_path):
+        bad = tmp_path / "bad.graph"
+        bad.write_bytes(b"vertices a\n\xff\n")
+        code, _, err = run(capsys, ["graph", "info", str(bad)])
+        assert code == 2
+        assert f"error: {bad}: not UTF-8" in err
+
     def test_usage_error_exits_two(self, capsys):
         code = cli.main(["graph", "nonsense"])
         capsys.readouterr()
         assert code == 2
 
+    def test_python_dash_m_entry_point(self, files):
+        env = dict(os.environ)
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "graphgroups", "graph", "info", files["c4"]],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0
+        assert proc.stdout.splitlines()[0] == "vertices 4: a b c d"
+
     def test_unknown_word_letter(self, files, capsys):
         code, _, err = run(capsys, ["word", "reduce", "--graph", files["c4"], "a q"])
         assert code == 2
         assert "unknown vertex" in err
+
+
+# -- golden output ----------------------------------------------------------
+
+# Standard output and exit code of every subcommand (and the ``normal-form``
+# alias) on the C4 fixture, with E(3,0) for the eligible concealment paths,
+# recorded before the parser was rebuilt from a table. ``{c4}`` and ``{e30}``
+# stand for the fixture paths. The non-commuting centralizer report is
+# pinned by ``test_centralizer_non_commuting`` instead.
+GOLDEN = (
+    (['graph', 'info', '{c4}'], 0, 'vertices 4: a b c d\nedges 4: a-b a-d b-c c-d\ndegrees: a=2 b=2 c=2 d=2\nco-components: {a,c} {b,d}\n'),
+    (['graph', 'complement', '{c4}'], 0, 'vertices a b c d\nedge a c\nedge b d\n'),
+    (['graph', 'product', '{c4}', '{c4}'], 0, '# renamed a -> a_2\n# renamed b -> b_2\n# renamed c -> c_2\n# renamed d -> d_2\nvertices a a_2 b b_2 c c_2 d d_2\nedge a a_2\nedge a b\nedge a b_2\nedge a c_2\nedge a d\nedge a d_2\nedge a_2 b\nedge a_2 b_2\nedge a_2 c\nedge a_2 d\nedge a_2 d_2\nedge b b_2\nedge b c\nedge b c_2\nedge b d_2\nedge b_2 c\nedge b_2 c_2\nedge b_2 d\nedge c c_2\nedge c d\nedge c d_2\nedge c_2 d\nedge c_2 d_2\nedge d d_2\n'),
+    (['graph', 'embed', '--pattern', '{c4}', '--host', '{c4}'], 0, 'a -> a\nb -> b\nc -> c\nd -> d\n'),
+    (['word', 'reduce', '--graph', '{c4}', "a b a' c b'"], 0, 'c\n'),
+    (['word', 'normal-form', '--graph', '{c4}', "a b a' c b'"], 0, 'c\n'),
+    (['word', 'normal-form', '--graph', '{c4}', 'd c b a'], 0, 'c a d b\n'),
+    (['word', 'equal', '--graph', '{c4}', 'a b', 'b a'], 0, 'true\n'),
+    (['word', 'equal', '--graph', '{c4}', 'a c', 'c a'], 1, 'false\n'),
+    (['word', 'commute', '--graph', '{c4}', 'a', 'b'], 0, 'true\n'),
+    (['word', 'commute', '--graph', '{c4}', 'a', 'c'], 1, 'false\n'),
+    (['group', 'cyclic-reduce', '--graph', '{c4}', "a c a'"], 0, 'p = a\nh = c\n'),
+    (['group', 'pure-factors', '--graph', '{c4}', 'a a b b b'], 0, 'factors 2\nfactor 2 a\nfactor 3 b\n'),
+    (['group', 'centralizer', '--graph', '{c4}', 'a', 'a a b'], 0, 'status=witness\np = \nk1 0 a\nk2 = a a b\n'),
+    (['monoid', 'equal', '--graph', '{c4}', 'a b', 'b a'], 0, 'true\n'),
+    (['monoid', 'equal', '--graph', '{c4}', 'a c', 'c a'], 1, 'false\n'),
+    (['monoid', 'commute', '--graph', '{c4}', 'a c a c', 'a c'], 0, 'true\n'),
+    (['monoid', 'commute', '--graph', '{c4}', 'a c', 'c'], 1, 'false\n'),
+    (['monoid', 'root', '--graph', '{c4}', 'a c a c a c'], 0, 'root = a c\nexponent = 3\n'),
+    (['monoid', 'product-embed', '--graph', '{c4}', 'a c a', 'b'], 0, 'rank1 = 4\nrank2 = 2\nrho a\nrho b\nrho c\nrho d\nsigma a c\nsigma b d\ncoords a c a: rho(a)=2 rho(b)=0 rho(c)=1 rho(d)=0 sigma(a,c)=a.c.a sigma(b,d)=-\ncoords b: rho(a)=0 rho(b)=1 rho(c)=0 rho(d)=0 sigma(a,c)=- sigma(b,d)=b\n'),
+    (['monoid', 'comm-rank', '--graph', '{c4}'], 0, '2\n'),
+    (['search', 'phi', '--target', '{c4}', '--ambient', '{c4}', '--mode', 'group', '--max-len', '1'], 0, 'status=found bound=1\nwitness a=a\nwitness b=b\nwitness c=c\nwitness d=d\ncandidates=19\n'),
+    (['search', 'phi', '--target', '{c4}', '--ambient', '{c4}', '--mode', 'monoid', '--max-len', '1', '--strict', '--format', 'records'], 0, 'status=found\nbound=1\nwitness a=a\nwitness b=b\nwitness c=c\nwitness d=d\n'),
+    (['search', 'phi', '--target', '{c4}', '--ambient', '{e30}', '--mode', 'group', '--max-len', '1', '--jobs', '2'], 1, 'status=exhausted bound=1\ncandidates=56\n'),
+    (['conceal', 'check', '{c4}'], 1, 'ineligible\n# no vertex of degree <= 1 (degrees: a=2 b=2 c=2 d=2)\n'),
+    (['conceal', 'build', '{c4}'], 2, ''),
+    (['conceal', 'verify', '{c4}'], 2, ''),
+    (['conceal', 'check', '{e30}'], 0, 'eligible\n'),
+    (['conceal', 'build', '{e30}'], 0, 'vertices e_0 e_1 f g\nedge e_0 f\nedge e_1 g\ntau e = e_0 e_1 e_0 e_1\ntau f = f\ntau g = g\n'),
+    (['conceal', 'verify', '{e30}', '--max-len', '2', '--jobs', '2'], 0, 'no-embedding: ok\nphi-witness: ok\ntau-morphism: ok\ntau-injective: ok (bound=2, elements=37)\n'),
+)
+
+
+@pytest.mark.parametrize(
+    "argv, code, stdout",
+    GOLDEN,
+    ids=[f"{i:02d}-{argv[0]}-{argv[1]}" for i, (argv, _, _) in enumerate(GOLDEN)],
+)
+def test_golden_output(files, capsys, argv, code, stdout):
+    got_code, got_out, _ = run(capsys, [a.format(**files) for a in argv])
+    assert (got_code, got_out) == (code, stdout)

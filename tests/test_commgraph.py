@@ -112,17 +112,6 @@ class TestPhiSearch:
             v: str(e) for v, e in r2.witness.items()
         }
 
-    def test_jobs_parallel_matches_serial(self):
-        target = standard_graph("C4")
-        for ambient in (standard_graph("C4"), standard_graph("L3")):
-            serial = phi_search(target, ambient, "group", 2)
-            parallel = phi_search(target, ambient, "group", 2, jobs=4)
-            assert serial.status == parallel.status
-            if serial.found:
-                assert {v: str(e) for v, e in serial.witness.items()} == {
-                    v: str(e) for v, e in parallel.witness.items()
-                }
-
     def test_bad_max_len_rejected(self):
         with pytest.raises(ValueError):
             phi_search(C4(), C4(), "group", 0)

@@ -114,11 +114,11 @@ class TestVerification:
         assert report.collisions == ()
         assert report.element_count > 1
 
-    def test_parallel_matches_serial(self):
+    @pytest.mark.parametrize("bound", [0, -1])
+    def test_bound_below_one_rejected(self, bound):
         result = build_concealment(three_isolated())
-        serial = verify_tau_injective(result, 2)
-        parallel = verify_tau_injective(result, 2, jobs=4)
-        assert serial == parallel
+        with pytest.raises(ValueError):
+            verify_tau_injective(result, bound)
 
     def test_morphism_well_defined_on_all_eligible_graphs(self):
         for gamma in all_graphs_up_to(5):
