@@ -11,6 +11,7 @@ construction. Exit codes: 0 success/found/true, 1 exhausted/none/false,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import conceal as conceal_mod
@@ -148,8 +149,6 @@ def cmd_group_centralizer(args):
         _parse_word(g, args.left), _parse_word(g, args.right)
     )
     print(f"status={outcome.status}")
-    if outcome.status == "no-witness-within-bound":
-        print(f"bound={outcome.bound}")
     if not outcome.found:
         return 1
     w = outcome.witness
@@ -299,7 +298,7 @@ COMMANDS = (
     ("group", "cyclic-reduce", cmd_group_cyclic_reduce, "p h p^-1 decomposition", _WORD),
     ("group", "pure-factors", cmd_group_pure_factors,
      "pure factors of a cyclically reduced element", _WORD),
-    ("group", "centralizer", cmd_group_centralizer, "bounded centralizer witness search", _PAIR),
+    ("group", "centralizer", cmd_group_centralizer, "centralizer witness", _PAIR),
     ("monoid", "equal", cmd_predicate, "projection-based equality", _PAIR),
     ("monoid", "commute", cmd_predicate, "monoid commutation", _PAIR),
     ("monoid", "root", cmd_monoid_root, "primitive root and exponent", _WORD),
@@ -325,6 +324,7 @@ COMMANDS = (
 ALIASES = {("word", "reduce"): ["normal-form"]}
 
 
+@functools.cache  # one parser per process; parse_args keeps no state in it
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="ggm",

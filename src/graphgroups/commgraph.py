@@ -77,7 +77,7 @@ def canonical_elements(ambient, mode, max_len):
     every raw signed word of bounded length is reduced and deduplicated."""
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    seen = set()
+    seen = {}  # canonical letters -> their group element (None for monoids)
     if mode == "monoid":
         alphabet = [(v, 1) for v in ambient.vertices]
     else:
@@ -85,13 +85,14 @@ def canonical_elements(ambient, mode, max_len):
     for length in range(max_len + 1):
         for combo in itertools.product(alphabet, repeat=length):
             if mode == "monoid":
-                seen.add(lex_normal_letters(ambient, combo))
+                seen[lex_normal_letters(ambient, combo)] = None
             else:
-                seen.add(GroupElement(ambient, combo).letters)
+                element = GroupElement(ambient, combo)
+                seen[element.letters] = element
     ordered = sorted(seen, key=lambda ls: (len(ls), word_key(ls)))
     if mode == "monoid":
         return [Word(ambient, ls) for ls in ordered]
-    return [GroupElement(ambient, ls) for ls in ordered]
+    return [seen[ls] for ls in ordered]
 
 
 @dataclass(frozen=True)

@@ -13,14 +13,13 @@ intermediate letters all commute with l, which characterizes geodesics here.
 Beyond the word problem this module provides reduced product factorizations,
 cyclic reduction (the unique p h p^-1 form with h shortest in its conjugacy
 class), pure factors of cyclically reduced elements (one primitive commuting
-piece per co-component of the support), and a bounded search for centralizer
-witnesses of the form p k1 k2 p^-1 with k1 a product of pure-factor powers
-and k2 commuting totally with the cyclic reduction.
+piece per co-component of the support), and centralizer witnesses of the
+form p k1 k2 p^-1 with k1 a product of pure-factor powers and k2 commuting
+totally with the cyclic reduction, the exponents of k1 read off projections.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .graphs import co_components, induced
@@ -282,19 +281,13 @@ def _group_primitive_root(element):
     """Maximal k with element = r**k, for a cyclically reduced element.
 
     Powers of a cyclically reduced element multiply without cancellation, so
-    any root is itself cyclically reduced of length exactly len/k and spells
-    a prefix of some reduced word: the trace-prefixes of the canonical word
-    enumerate every candidate.
+    a root is cyclically reduced and spells a trace prefix of the canonical
+    word (signed letters acting as monoid letters): one candidate per k.
     """
-    n = element.length
-    graph = element.graph
-    for k in range(n, 1, -1):
-        if n % k:
-            continue
-        for root in iter_trace_prefixes(graph, element.letters, n // k):
-            candidate = GroupElement(graph, root)
-            if candidate**k == element:
-                return candidate, k
+    for root, k in iter_trace_prefixes(element.letters):
+        candidate = GroupElement(element.graph, root)
+        if candidate**k == element:
+            return candidate, k
     return element, 1
 
 
@@ -332,19 +325,13 @@ class CentralizerWitness:
 
 @dataclass(frozen=True)
 class CentralizerOutcome:
-    """Tri-state result of the bounded witness search.
-
-    ``status`` is one of ``"witness"``, ``"proved-non-commuting"`` (the
-    elements demonstrably do not commute) or ``"no-witness-within-bound"``
-    (they commute but no witness was found with exponents bounded by
-    ``bound``; the search is honest about its range).
-    """
+    """``status`` is ``"witness"`` (k commutes with g, and ``witness`` holds
+    its decomposition) or ``"proved-non-commuting"``."""
 
     status: str
     witness: CentralizerWitness | None
     decomposition: CyclicDecomposition
     factorization: PureFactorization
-    bound: int
 
     @property
     def found(self):
@@ -360,43 +347,45 @@ class CentralizerOutcome:
         return w.p * k1 * w.k2 * w.p.inverse()
 
 
-def centralizer_witness(g, k, bound=None):
-    """Bounded search for a centralizer decomposition of k with respect to g.
+def centralizer_witness(g, k):
+    """Centralizer decomposition of k with respect to g.
 
-    Write g = p h p^-1 with h cyclically reduced and let r_1, ..., r_n be the
-    pure factors of h. Candidate exponent vectors c (each |c_i| <= bound,
-    default len(k) + len(h)) determine k1 = prod r_i**c_i and then
-    k2 = k1^-1 (p^-1 k p); a witness is returned for the first c, in an
-    enumeration favouring small exponents, whose k2 commutes totally with h.
+    Write g = p h p^-1 with h cyclically reduced and pure factors r_1..r_n.
+    C(h) = <r_1> x ... x <r_n> x A(link supp h) (Servatius), so if k commutes
+    with g, each c_i is read off q = p^-1 k p: deleting the letters outside
+    the block of r_i is a retraction, which leaves r_i**c_i. A one-vertex
+    block lies in the link, so its c_i is 0 and its letters stay in
+    k2 = k1^-1 q. A failed check raises AssertionError, never a wrong witness.
     """
     g, k = group_reduce(g), group_reduce(k)
     if g.graph != k.graph:
         raise ValueError("elements over different ambient graphs")
+    graph = g.graph
     decomposition = cyclic_reduce(g)
     p, h = decomposition.p, decomposition.h
     factorization = pure_factors(h)
-    if bound is None:
-        bound = k.length + h.length
     if not group_commute(g, k):
         return CentralizerOutcome(
-            "proved-non-commuting", None, decomposition, factorization, bound
+            "proved-non-commuting", None, decomposition, factorization
         )
     q = p.inverse() * k * p
-    roots = [root for root, _ in factorization.factors]
-    powers = [
-        {c: root**c for c in range(-bound, bound + 1)} for root in roots
-    ]
-    exponent_order = sorted(range(-bound, bound + 1), key=lambda c: (abs(c), c < 0))
-    for combo in itertools.product(exponent_order, repeat=len(roots)):
-        k1 = GroupElement.identity(g.graph)
-        for table, c in zip(powers, combo):
-            k1 = k1 * table[c]
-        k2 = k1.inverse() * q
-        if commutes_totally(k2, h):
-            witness = CentralizerWitness(p=p, exponents=tuple(combo), k2=k2)
-            return CentralizerOutcome(
-                "witness", witness, decomposition, factorization, bound
-            )
-    return CentralizerOutcome(
-        "no-witness-within-bound", None, decomposition, factorization, bound
-    )
+    k1 = GroupElement.identity(graph)
+    exponents = []
+    for root, _ in factorization.factors:
+        block = root.support()
+        c = 0
+        if len(block) > 1:
+            projection = GroupElement(graph, tuple(l for l in q.letters if l[0] in block))
+            c = projection.length // root.length
+            expected = root**c
+            if expected != projection:
+                c, expected = -c, expected.inverse()
+            if expected != projection:
+                raise AssertionError("projection is not a power of its pure factor")
+            k1 = k1 * expected
+        exponents.append(c)
+    k2 = k1.inverse() * q
+    if not commutes_totally(k2, h):
+        raise AssertionError("k2 does not commute totally with h")
+    witness = CentralizerWitness(p=p, exponents=tuple(exponents), k2=k2)
+    return CentralizerOutcome("witness", witness, decomposition, factorization)

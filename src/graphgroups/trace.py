@@ -15,7 +15,9 @@ it is the canonical representative underlying ``trace_normal_form``.
 
 from __future__ import annotations
 
+import collections
 import itertools
+import math
 import operator
 
 from .graphs import clique_number
@@ -218,80 +220,57 @@ def trace_normal_form(word):
     return Word(word.graph, lex_normal_letters(word.graph, word.letters))
 
 
-def _free_primitive_root(seq):
-    """Shortest prefix whose power equals seq (free-monoid primitive root)."""
-    n = len(seq)
-    for d in range(1, n + 1):
-        if n % d == 0 and seq[:d] * (n // d) == seq:
-            return seq[:d]
-    return seq
-
-
-def _free_commute(s, t):
-    """Words of a free monoid commute iff they are powers of a common
-    primitive word (empty words commute with everything)."""
-    if not s or not t:
-        return True
-    return _free_primitive_root(s) == _free_primitive_root(t)
-
-
 def trace_commute(u, v):
     """Commutation test, localized per non-adjacent pair: the two
-    subsequences must be powers of a common primitive word."""
+    subsequences s, t must commute in the free monoid, st = ts (then both
+    are powers of one word, by Lyndon and Schutzenberger)."""
     _require_monoid(u)
     _require_monoid(v)
     _require_same_graph(u, v)
     pairs = u.graph.non_adjacent_pairs()
-    return all(map(_free_commute, _coordinates(u, (), pairs), _coordinates(v, (), pairs)))
+    coords = zip(_coordinates(u, (), pairs), _coordinates(v, (), pairs))
+    return all(s + t == t + s for s, t in coords)
 
 
 # -- primitive roots ---------------------------------------------------
 
 
-def iter_trace_prefixes(graph, letters, length):
-    """All length-`length` words r such that the input is equivalent (by
-    commuting swaps) to r followed by a remainder.
+def iter_trace_prefixes(letters):
+    """Candidate proper roots of a word: for each k > 1 dividing every
+    letter count, largest first, the pair (root, k) where root keeps the
+    first count/k occurrences of each letter.
 
-    Enumerated by repeatedly choosing an available first letter: one whose
-    every earlier letter commutes with it. Distinct sequences only.
+    A prefix of a trace is fixed by how many occurrences of each letter it
+    takes, so this root is the only possible k-th root; callers check it.
     """
-
-    def rec(prefix, rem):
-        if len(prefix) == length:
-            yield tuple(prefix)
-            return
-        for i, l in enumerate(rem):
-            movable = True
-            for j in range(i):
-                if not letters_commute(graph, rem[j], l):
-                    movable = False
-                    break
-            if movable:
-                yield from rec(prefix + [l], rem[:i] + rem[i + 1 :])
-
-    yield from rec([], list(letters))
+    counts = collections.Counter(letters)
+    d = math.gcd(*counts.values())
+    for k in range(d, 1, -1):
+        if d % k:
+            continue
+        quota = {l: c // k for l, c in counts.items()}
+        root = []
+        for l in letters:
+            if quota[l]:
+                quota[l] -= 1
+                root.append(l)
+        yield tuple(root), k
 
 
 def primitive_root(word):
     """Maximal-exponent root: a word r and exponent k with r**k equivalent to
     the input and r not itself a proper power.
 
-    Searches exponents from the length downward; candidate roots are the
-    trace-prefixes of the matching length, tested by power equality.
+    Tries the one candidate root of each possible exponent, largest first,
+    and tests it by power equality.
     """
     _require_monoid(word)
-    n = len(word)
-    if n == 0:
+    if len(word) == 0:
         raise ValueError("primitive root of the empty word is undefined")
-    g = word.graph
-    for k in range(n, 1, -1):
-        if n % k:
-            continue
-        m = n // k
-        for root in iter_trace_prefixes(g, word.letters, m):
-            candidate = Word(g, root)
-            if trace_equal(candidate**k, word):
-                return trace_normal_form(candidate), k
+    for root, k in iter_trace_prefixes(word.letters):
+        candidate = Word(word.graph, root)
+        if trace_equal(candidate**k, word):
+            return trace_normal_form(candidate), k
     return trace_normal_form(word), 1
 
 

@@ -2,9 +2,9 @@
 
 Everything here deliberately avoids the library's production code paths:
 graph enumeration by edge-mask orbits, embedding by scanning all injections,
-clique number by scanning all subsets, geodesic length and word equivalence
-by breadth-first closure over the elementary rewriting moves (swap adjacent
-commuting letters, cancel an adjacent inverse pair).
+clique number by scanning all subsets, geodesic length, word equivalence
+and primitive roots by breadth-first closure over the elementary rewriting
+moves (swap adjacent commuting letters, cancel an adjacent inverse pair).
 """
 
 import itertools
@@ -103,6 +103,29 @@ def swap_cancel_closure(graph, letters):
                 seen.add(nw)
                 stack.append(nw)
     return seen
+
+
+def brute_force_primitive_root(graph, letters):
+    """Largest k, with a word r, such that r**k is reachable from a geodesic
+    word by the rewriting moves: every word of length len/k over the input's
+    letters is tried, largest k first. Returns (r, k); (letters, 1) when no
+    proper power matches.
+
+    For a positive word the moves are the commuting swaps of the monoid. For
+    a reduced signed word, a word of the same length spells the same element
+    exactly when swaps alone reach it, so this also finds group roots.
+    """
+    letters = tuple(letters)
+    n = len(letters)
+    closure = swap_cancel_closure(graph, letters)
+    alphabet = sorted(set(letters))
+    for k in range(n, 1, -1):
+        if n % k:
+            continue
+        for root in itertools.product(alphabet, repeat=n // k):
+            if root * k in closure:
+                return root, k
+    return letters, 1
 
 
 def bfs_geodesic_length(graph, letters):

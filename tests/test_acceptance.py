@@ -169,8 +169,8 @@ def test_05_centralizer_witnesses():
                 pairs += 1
                 outcome = centralizer_witness(g, k)
                 commutes = group_commute(g, k)
-                if outcome.status == "no-witness-within-bound":
-                    failures.append(("bound", str(g), str(k)))
+                if outcome.status not in ("witness", "proved-non-commuting"):
+                    failures.append(("status", str(g), str(k)))
                     continue
                 if outcome.found != commutes:
                     failures.append(("presence", str(g), str(k)))

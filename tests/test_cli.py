@@ -388,3 +388,12 @@ GOLDEN = (
 def test_golden_output(files, capsys, argv, code, stdout):
     got_code, got_out, _ = run(capsys, [a.format(**files) for a in argv])
     assert (got_code, got_out) == (code, stdout)
+
+
+def test_usage_error_then_valid_call(files, capsys):
+    # One parser serves every call in a process: a failed parse must leave
+    # nothing behind for the next call.
+    centralizer = ["group", "centralizer", "--graph", files["c4"], "a"]
+    assert run(capsys, centralizer)[0] == 2
+    code, out, _ = run(capsys, centralizer + ["a a b"])
+    assert (code, out) == (0, "status=witness\np = \nk1 0 a\nk2 = a a b\n")

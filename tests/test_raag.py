@@ -20,8 +20,10 @@ from graphgroups import (
 )
 from oracles import (
     bfs_geodesic_length,
+    brute_force_primitive_root,
     free_reduce,
     signed_alphabet,
+    swap_cancel_closure,
     words_equivalent,
 )
 
@@ -41,6 +43,36 @@ def el(graph, text):
 def random_word(rng, graph, max_len):
     alphabet = signed_alphabet(graph)
     return tuple(rng.choice(alphabet) for _ in range(rng.randrange(max_len + 1)))
+
+
+def ball(graph, radius):
+    alphabet = signed_alphabet(graph)
+    elements = {
+        GroupElement(graph, combo)
+        for length in range(radius + 1)
+        for combo in itertools.product(alphabet, repeat=length)
+    }
+    return sorted(elements, key=lambda e: (e.length, e.letters))
+
+
+def bounded_centralizer_reference(g, k):
+    """The former bounded search: exponent vectors with every |c_i| <=
+    len(k) + len(h), smallest first, until k2 = k1^-1 p^-1 k p commutes
+    totally with h. Returns (exponents, k2), or None past the bound."""
+    decomposition = cyclic_reduce(g)
+    p, h = decomposition.p, decomposition.h
+    roots = [root for root, _ in pure_factors(h).factors]
+    q = p.inverse() * k * p
+    bound = k.length + h.length
+    order = sorted(range(-bound, bound + 1), key=lambda c: (abs(c), c < 0))
+    for combo in itertools.product(order, repeat=len(roots)):
+        k1 = GroupElement.identity(g.graph)
+        for root, c in zip(roots, combo):
+            k1 = k1 * root**c
+        k2 = k1.inverse() * q
+        if commutes_totally(k2, h):
+            return combo, k2
+    return None
 
 
 class TestGroupReduce:
@@ -277,6 +309,17 @@ class TestPureFactors:
                 for (r1, e1), (r2, e2) in itertools.combinations(factorization.factors, 2):
                     assert group_commute(r1, r2)
 
+    def test_roots_match_rewriting_oracle(self):
+        for graph in (C4(), L3()):
+            for h in ball(graph, 4):
+                if h.is_identity or not is_cyclically_reduced(h):
+                    continue
+                for root, exp in pure_factors(h).factors:
+                    piece = (root**exp).letters
+                    oracle_root, oracle_exp = brute_force_primitive_root(graph, piece)
+                    assert oracle_exp == exp
+                    assert oracle_root in swap_cancel_closure(graph, root.letters)
+
     def brute_force_is_proper_power(self, element):
         # Independent oracle: scan every raw signed word of each dividing
         # length for an exact power.
@@ -321,17 +364,23 @@ class TestCentralizerWitness:
         assert out.reconstruct() == el(free2, "u v u v")
 
     def test_agrees_with_commutation_exhaustively_small(self):
-        g = L3()
-        ball = set()
-        alphabet = signed_alphabet(g)
-        for length in range(3):
-            for combo in itertools.product(alphabet, repeat=length):
-                ball.add(GroupElement(g, combo))
-        ball = sorted(ball, key=lambda e: (e.length, e.letters))
-        for a in ball:
-            for b in ball:
+        elements = ball(L3(), 2)
+        for a in elements:
+            for b in elements:
                 out = centralizer_witness(a, b)
                 assert out.found == group_commute(a, b)
-                assert out.status != "no-witness-within-bound"
+                assert out.status in ("witness", "proved-non-commuting")
                 if out.found:
                     assert out.reconstruct() == b
+
+    def test_matches_bounded_search_reference(self):
+        for graph in (C4(), L3()):
+            elements = ball(graph, 2)
+            for a in elements:
+                for b in elements:
+                    out = centralizer_witness(a, b)
+                    if not group_commute(a, b):
+                        assert out.witness is None
+                        continue
+                    witness = (out.witness.exponents, out.witness.k2)
+                    assert witness == bounded_centralizer_reference(a, b)

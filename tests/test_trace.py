@@ -16,7 +16,12 @@ from graphgroups import (
     trace_normal_form,
 )
 from graphgroups.trace import all_words
-from oracles import all_graphs_up_to, brute_force_clique_number
+from oracles import (
+    all_graphs_up_to,
+    brute_force_clique_number,
+    brute_force_primitive_root,
+    swap_cancel_closure,
+)
 
 
 def C4():
@@ -233,6 +238,16 @@ class TestPrimitiveRoot:
             root, exp = primitive_root(word)
             assert trace_equal(root**exp, word)
             assert exp == self.brute_force_root(word)
+
+    def test_matches_rewriting_oracle_up_to_length_six(self):
+        for g in (C4(), L3()):
+            for word in all_words(g, 6):
+                if len(word) == 0:
+                    continue
+                root, exp = primitive_root(word)
+                oracle_root, oracle_exp = brute_force_primitive_root(g, word.letters)
+                assert exp == oracle_exp
+                assert oracle_root in swap_cancel_closure(g, root.letters)
 
     def test_root_itself_primitive_up_to_length_six(self):
         g = L3()
