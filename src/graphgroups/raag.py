@@ -10,10 +10,12 @@ backward past letters with adjacent bases and cancels on meeting its inverse,
 otherwise it is appended. The result contains no factor l ... l^-1 whose
 intermediate letters all commute with l, which characterizes geodesics here.
 
-Beyond the word problem this module provides reduced product factorizations,
+Beyond the word problem this module provides reduced product factorizations
+(which letters cancel when one reduced word is inserted after another),
 cyclic reduction (the unique p h p^-1 form with h shortest in its conjugacy
-class), pure factors of cyclically reduced elements (one primitive commuting
-piece per co-component of the support), and centralizer witnesses of the
+class, read off the cancellation in g g by that same insertion), pure factors
+of cyclically reduced elements (one primitive commuting piece per
+co-component of the support), and centralizer witnesses of the
 form p k1 k2 p^-1 with k1 a product of pure-factor powers and k2 commuting
 totally with the cyclic reduction, the exponents of k1 read off projections.
 """
@@ -23,14 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graphs import co_components, induced
-from .trace import (
-    Word,
-    check_letters,
-    iter_trace_prefixes,
-    letter_key,
-    letters_commute,
-    lex_normal_letters,
-)
+from .trace import Word, check_letters, iter_trace_prefixes, lex_normal_letters
 
 
 def _insert(graph, stack, letters, origins=None):
@@ -64,10 +59,23 @@ def _insert(graph, stack, letters, origins=None):
                 origins.append(None)
 
 
-def _reduce_letters(graph, letters):
-    out = []
-    _insert(graph, out, letters)
-    return tuple(out)
+def _cancel(graph, u_letters, v_letters):
+    """Cancellation in the product of two reduced words u and v: the kept
+    letters of u, the cancelled letters of u and the kept letters of v.
+
+    The cancelled letters of u spell the x with u = u'x and v = x^-1 v'
+    (cancellation in a product of two reduced words only ever pairs a letter
+    of v against a letter of u).
+    """
+    stack = list(u_letters)
+    origins = list(range(len(stack)))  # index into u, or None for v's letters
+    _insert(graph, stack, v_letters, origins)
+    kept = set(origins)
+    return (
+        tuple(l for i, l in enumerate(u_letters) if i in kept),
+        tuple(l for i, l in enumerate(u_letters) if i not in kept),
+        tuple(l for l, origin in zip(stack, origins) if origin is None),
+    )
 
 
 class GroupElement:
@@ -80,9 +88,10 @@ class GroupElement:
     __slots__ = ("graph", "letters")
 
     def __init__(self, graph, letters=()):
-        letters = check_letters(graph, tuple(letters))
+        stack = []
+        _insert(graph, stack, check_letters(graph, tuple(letters)))
         self.graph = graph
-        self.letters = lex_normal_letters(graph, _reduce_letters(graph, letters))
+        self.letters = lex_normal_letters(graph, tuple(stack))
 
     @classmethod
     def identity(cls, graph):
@@ -175,28 +184,13 @@ def group_commute(u, v):
 
 
 def multiply_factorize(u, v):
-    """Split a product into u = u'x and v = x^-1 v' with u'v' reduced.
-
-    Tracks which letters of u are cancelled while inserting v's letters into
-    a stack primed with u; x is the element spelled by the cancelled letters
-    of u (cancellation in a product of two reduced words only ever pairs a
-    letter of v against a letter of u).
-    """
+    """Split a product into u = u'x and v = x^-1 v' with u'v' reduced."""
     u, v = group_reduce(u), group_reduce(v)
     if u.graph != v.graph:
         raise ValueError("elements over different ambient graphs")
     graph = u.graph
-    stack = list(u.letters)
-    origins = list(range(len(stack)))  # index into u, or None for v's letters
-    _insert(graph, stack, v.letters, origins)
-    kept = set(origins)
-    u_rest = tuple(l for i, l in enumerate(u.letters) if i in kept)
-    x_letters = tuple(l for i, l in enumerate(u.letters) if i not in kept)
-    v_rest = tuple(l for l, origin in zip(stack, origins) if origin is None)
-    return (
-        GroupElement(graph, u_rest),
-        GroupElement(graph, x_letters),
-        GroupElement(graph, v_rest),
+    return tuple(
+        GroupElement(graph, part) for part in _cancel(graph, u.letters, v.letters)
     )
 
 
@@ -215,48 +209,25 @@ class CyclicDecomposition:
         return self.p * self.h * self.p.inverse()
 
 
-def _strip_candidate(graph, letters):
-    """Least letter (base order, positive first) movable to the front whose
-    inverse is movable to the back at a distinct position."""
-    front = set()
-    back = set()
-    n = len(letters)
-    for i, l in enumerate(letters):
-        if all(letters_commute(graph, letters[j], l) for j in range(i)):
-            front.add(l)
-        if all(letters_commute(graph, letters[j], l) for j in range(i + 1, n)):
-            back.add(l)
-    candidates = [l for l in front if (l[0], -l[1]) in back]
-    if not candidates:
-        return None
-    return min(candidates, key=letter_key)
-
-
 def is_cyclically_reduced(g):
+    """Nothing cancels in g * g."""
     g = group_reduce(g)
-    return _strip_candidate(g.graph, g.letters) is None
+    return not _cancel(g.graph, g.letters, g.letters)[1]
 
 
 def cyclic_reduce(g):
-    """Peel conjugating letters: repeatedly strip a front-movable letter and
-    its back-movable inverse, accumulating the former into p. Each step drops
-    the length by two, so this terminates at the cyclic reduction."""
+    """Read g = p h p^-1 off the cancellation in g * g.
+
+    g * g = p h h p^-1 as a reduced product, so inserting g after itself
+    cancels exactly the letters c of p^-1 in the first copy; with k its kept
+    letters, g = k c, so p = c^-1 and h = p^-1 g p = c k.
+    """
     g = group_reduce(g)
     graph = g.graph
-    word = list(g.letters)
-    p_letters = []
-    while True:
-        letter = _strip_candidate(graph, word)
-        if letter is None:
-            break
-        inverse = (letter[0], -letter[1])
-        i = word.index(letter)
-        j = len(word) - 1 - word[::-1].index(inverse)
-        del word[j]
-        del word[i]
-        p_letters.append(letter)
+    kept, cancelled, _ = _cancel(graph, g.letters, g.letters)
     return CyclicDecomposition(
-        p=GroupElement(graph, tuple(p_letters)), h=GroupElement(graph, tuple(word))
+        p=GroupElement(graph, tuple((b, -s) for b, s in reversed(cancelled))),
+        h=GroupElement(graph, cancelled + kept),
     )
 
 

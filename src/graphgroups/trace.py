@@ -60,9 +60,7 @@ class Word:
 
     def __init__(self, graph, letters=()):
         self.graph = graph
-        self.letters = check_letters(
-            graph, tuple((str(b), int(s)) for b, s in letters)
-        )
+        self.letters = check_letters(graph, tuple((str(b), s) for b, s in letters))
 
     @classmethod
     def parse(cls, graph, text):

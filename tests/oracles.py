@@ -4,7 +4,8 @@ Everything here deliberately avoids the library's production code paths:
 graph enumeration by edge-mask orbits, embedding by scanning all injections,
 clique number by scanning all subsets, geodesic length, word equivalence
 and primitive roots by breadth-first closure over the elementary rewriting
-moves (swap adjacent commuting letters, cancel an adjacent inverse pair).
+moves (swap adjacent commuting letters, cancel an adjacent inverse pair),
+cyclic reduction by peeling one conjugating letter pair at a time.
 """
 
 import itertools
@@ -126,6 +127,35 @@ def brute_force_primitive_root(graph, letters):
             if root * k in closure:
                 return root, k
     return letters, 1
+
+
+def peel_cyclic_reduce(graph, letters):
+    """Cyclic reduction of a reduced word by peeling: repeatedly strip the
+    least letter (base order, positive first) that moves to the front whose
+    inverse moves to the back from another position, collecting the former
+    into p. Returns the letters (p, h) with g = p h p^-1."""
+
+    def commute(a, b):
+        return a[0] != b[0] and graph.adjacent(a[0], b[0])
+
+    word = list(letters)
+    p = []
+    while True:
+        front, back = set(), set()
+        for i, l in enumerate(word):
+            if all(commute(word[j], l) for j in range(i)):
+                front.add(l)
+            if all(commute(word[j], l) for j in range(i + 1, len(word))):
+                back.add(l)
+        candidates = [l for l in front if (l[0], -l[1]) in back]
+        if not candidates:
+            return tuple(p), tuple(word)
+        letter = min(candidates, key=lambda l: (l[0], l[1] < 0))
+        i = word.index(letter)
+        j = len(word) - 1 - word[::-1].index((letter[0], -letter[1]))
+        del word[j]
+        del word[i]
+        p.append(letter)
 
 
 def bfs_geodesic_length(graph, letters):

@@ -8,20 +8,77 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from graphgroups import Graph, Word, primitive_root, trace_equal  # noqa: E402
+from graphgroups import (  # noqa: E402
+    Graph,
+    GroupElement,
+    Word,
+    cyclic_reduce,
+    is_cyclically_reduced,
+    multiply_factorize,
+    primitive_root,
+    trace_equal,
+    trace_normal_form,
+)
+
+SETTINGS = settings(max_examples=200, deadline=None, database=None)
+
+
+def graphs(draw, max_vertices):
+    vertices = [f"v{i}" for i in range(draw(st.integers(1, max_vertices)))]
+    edges = [p for p in itertools.combinations(vertices, 2) if draw(st.booleans())]
+    return Graph(vertices, edges)
+
+
+def letters(graph):
+    return st.tuples(st.sampled_from(graph.vertices), st.sampled_from((1, -1)))
 
 
 @st.composite
 def powers(draw):
     """A graph on at most five vertices, a positive root of at most three
     letters and a power k <= 4."""
-    vertices = [f"v{i}" for i in range(draw(st.integers(1, 5)))]
-    edges = [p for p in itertools.combinations(vertices, 2) if draw(st.booleans())]
-    root = draw(st.lists(st.sampled_from(vertices), min_size=1, max_size=3))
-    return Graph(vertices, edges), root, draw(st.integers(1, 4))
+    graph = graphs(draw, 5)
+    root = draw(st.lists(st.sampled_from(graph.vertices), min_size=1, max_size=3))
+    return graph, root, draw(st.integers(1, 4))
 
 
-@settings(max_examples=200, deadline=None, database=None)
+@st.composite
+def signed_words(draw, count):
+    """A graph on at most seven vertices and ``count`` signed words of at
+    most ten letters over it."""
+    graph = graphs(draw, 7)
+    return graph, [draw(st.lists(letters(graph), max_size=10)) for _ in range(count)]
+
+
+@st.composite
+def conjugates(draw):
+    """A graph on at most seven vertices and a signed word p h p^-1 of at
+    most ten letters over it (p may be empty)."""
+    graph = graphs(draw, 7)
+    p = draw(st.lists(letters(graph), max_size=3))
+    h = draw(st.lists(letters(graph), max_size=10 - 2 * len(p)))
+    return graph, p + h + [(b, -s) for b, s in reversed(p)]
+
+
+@st.composite
+def positive_pairs(draw):
+    """A graph on at most seven vertices and two positive words of at most
+    ten letters: half the time the second is the first after random swaps of
+    adjacent commuting letters, otherwise it is drawn on its own."""
+    graph = graphs(draw, 7)
+    word = st.lists(st.sampled_from(graph.vertices), max_size=10)
+    u = draw(word)
+    if draw(st.booleans()):
+        v = list(u)
+        for i in draw(st.lists(st.integers(0, max(0, len(v) - 2)), max_size=20)):
+            if i + 1 < len(v) and v[i] != v[i + 1] and graph.adjacent(v[i], v[i + 1]):
+                v[i], v[i + 1] = v[i + 1], v[i]
+    else:
+        v = draw(word)
+    return graph, Word(graph, [(b, 1) for b in u]), Word(graph, [(b, 1) for b in v])
+
+
+@SETTINGS
 @given(powers())
 def test_primitive_root_of_a_power(case):
     graph, root, k = case
@@ -29,3 +86,43 @@ def test_primitive_root_of_a_power(case):
     found, exp = primitive_root(word)
     assert trace_equal(found**exp, word)
     assert exp % k == 0
+
+
+@SETTINGS
+@given(signed_words(1))
+def test_element_times_inverse_is_identity(case):
+    graph, (letters,) = case
+    u = GroupElement(graph, letters)
+    assert (u * u.inverse()).is_identity
+
+
+@SETTINGS
+@given(signed_words(2))
+def test_multiply_factorize_rebuilds_both_factors(case):
+    graph, (u_letters, v_letters) = case
+    u, v = GroupElement(graph, u_letters), GroupElement(graph, v_letters)
+    up, x, vp = multiply_factorize(u, v)
+    assert up * x == u
+    assert x.inverse() * vp == v
+    assert (up * vp).length == up.length + vp.length
+
+
+@SETTINGS
+@given(conjugates())
+def test_cyclic_reduce_rebuilds_the_element(case):
+    graph, word = case
+    g = GroupElement(graph, word)
+    dec = cyclic_reduce(g)
+    assert dec.element() == g
+    assert 2 * dec.p.length + dec.h.length == g.length
+    assert is_cyclically_reduced(g) == ((g * g).length == 2 * g.length)
+    assert is_cyclically_reduced(dec.h)
+
+
+@SETTINGS
+@given(positive_pairs())
+def test_trace_normal_form_decides_equality(case):
+    graph, u, v = case
+    nf = trace_normal_form(u)
+    assert trace_normal_form(nf) == nf
+    assert trace_equal(u, v) == (nf == trace_normal_form(v))

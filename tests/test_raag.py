@@ -16,12 +16,14 @@ from graphgroups import (
     is_cyclically_reduced,
     multiply_factorize,
     pure_factors,
+    standard_graph,
     support,
 )
 from oracles import (
     bfs_geodesic_length,
     brute_force_primitive_root,
     free_reduce,
+    peel_cyclic_reduce,
     signed_alphabet,
     swap_cancel_closure,
     words_equivalent,
@@ -259,6 +261,19 @@ class TestCyclicReduce:
                             frontier.append(conj)
                             best = min(best, conj.length)
                 assert dec.h.length == best
+
+    @pytest.mark.parametrize(
+        "graph, radius",
+        [(C4(), 4), (L3(), 4), (standard_graph("cycle(5)"), 3), (standard_graph("E(2,2)"), 3)],
+        ids=["C4", "L3", "cycle(5)", "E(2,2)"],
+    )
+    def test_matches_peel_oracle(self, graph, radius):
+        for g_el in ball(graph, radius):
+            p, h = peel_cyclic_reduce(graph, g_el.letters)
+            dec = cyclic_reduce(g_el)
+            assert GroupElement(graph, p) == dec.p
+            assert GroupElement(graph, h) == dec.h
+            assert is_cyclically_reduced(g_el) == (not p)
 
     def test_h_independent_of_representative(self):
         rng = random.Random(600)

@@ -4,6 +4,7 @@ import pytest
 
 from graphgroups import (
     Graph,
+    GroupElement,
     Word,
     embed_into_product,
     max_free_commutative_rank,
@@ -66,6 +67,13 @@ class TestWord:
             project_rho(w(g, "a'"), "a")
         with pytest.raises(ValueError):
             trace_equal(w(g, "a'"), w(g, "a'"))
+
+
+    @pytest.mark.parametrize("sign", [1.5, -1.9, 0, 2])
+    @pytest.mark.parametrize("constructor", [Word, GroupElement])
+    def test_rejects_sign_other_than_plus_or_minus_one(self, constructor, sign):
+        with pytest.raises(ValueError):
+            constructor(C4(), [("a", 1), ("b", sign)])
 
 
 class TestProjections:
