@@ -5,10 +5,12 @@ lexicographically least among the reduced words of the element (any two
 reduced words of the same element differ only by swaps of adjacent commuting
 letters, so the shared lexicographic normal form picks a canonical one).
 
-Reduction is left-to-right stack insertion: each incoming letter scans
-backward past letters with adjacent bases and cancels on meeting its inverse,
-otherwise it is appended. The result contains no factor l ... l^-1 whose
-intermediate letters all commute with l, which characterizes geodesics here.
+Reduction and normal form are one left-to-right stack insertion
+(``trace._insert``): each incoming letter scans backward past letters with
+adjacent bases and cancels on meeting its inverse; otherwise it goes to the
+least place among the letters it scanned past. The result contains no factor
+l ... l^-1 whose intermediate letters all commute with l, which characterizes
+geodesics here, and is already in lexicographic normal form.
 
 Beyond the word problem this module provides reduced product factorizations
 (which letters cancel when one reduced word is inserted after another),
@@ -25,38 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graphs import co_components, induced
-from .trace import Word, check_letters, iter_trace_prefixes, lex_normal_letters
-
-
-def _insert(graph, stack, letters, origins=None):
-    """Push letters in turn onto a reduced word held as a stack.
-
-    Each letter scans backward past letters with adjacent bases; on meeting
-    its inverse both cancel, otherwise it is appended. ``origins``, if
-    given, is kept parallel to the stack: pushed letters get None, and a
-    cancelled letter's entry is removed. Callers prime the stack with a
-    reduced word, so cancelling a letter of origin None is an error.
-    """
-    for letter in letters:
-        base, sign = letter
-        cancelled = False
-        j = len(stack) - 1
-        while j >= 0:
-            b2, s2 = stack[j]
-            if b2 == base:
-                if s2 != sign:
-                    del stack[j]
-                    cancelled = True
-                    if origins is not None and origins.pop(j) is None:
-                        raise AssertionError("cancellation inside a reduced factor")
-                break
-            if b2 not in graph.neighbors(base):
-                break
-            j -= 1
-        if not cancelled:
-            stack.append(letter)
-            if origins is not None:
-                origins.append(None)
+from .trace import Word, _insert, check_letters, iter_trace_prefixes
 
 
 def _cancel(graph, u_letters, v_letters):
@@ -65,7 +36,8 @@ def _cancel(graph, u_letters, v_letters):
 
     The cancelled letters of u spell the x with u = u'x and v = x^-1 v'
     (cancellation in a product of two reduced words only ever pairs a letter
-    of v against a letter of u).
+    of v against a letter of u). u must be in normal form; the kept letters
+    of v come out in stack order, which spells v' up to commuting swaps.
     """
     stack = list(u_letters)
     origins = list(range(len(stack)))  # index into u, or None for v's letters
@@ -81,8 +53,9 @@ def _cancel(graph, u_letters, v_letters):
 class GroupElement:
     """A group element in canonical reduced form.
 
-    The constructor accepts any letter sequence and canonicalizes it;
-    equality and hashing compare the ambient graph and the canonical word.
+    The constructor accepts any letter sequence and canonicalizes it in one
+    stack insertion, which reduces and sorts at once; equality and hashing
+    compare the ambient graph and the canonical word.
     """
 
     __slots__ = ("graph", "letters")
@@ -91,7 +64,7 @@ class GroupElement:
         stack = []
         _insert(graph, stack, check_letters(graph, tuple(letters)))
         self.graph = graph
-        self.letters = lex_normal_letters(graph, tuple(stack))
+        self.letters = tuple(stack)
 
     @classmethod
     def identity(cls, graph):

@@ -8,9 +8,11 @@ monoid, recorded as the letter subsequence). Two positive words represent the
 same element exactly when all projections agree, and that family assembles
 into an embedding of the whole monoid into a direct product of free monoids.
 
-The lexicographic normal form computed here is shared with the group machinery
-(signed letters order by base, positive before negative); for positive words
-it is the canonical representative underlying ``trace_normal_form``.
+The lexicographic normal form is computed by one backward-scan stack
+insertion, ``_insert``, shared with the group machinery (signed letters order
+by base, positive before negative; on signed letters it also cancels inverse
+pairs). For positive words it gives the canonical representative underlying
+``trace_normal_form``.
 """
 
 from __future__ import annotations
@@ -23,17 +25,14 @@ import operator
 from .graphs import clique_number
 
 
-def letters_commute(graph, a, b):
-    """Signed letters commute iff their bases are distinct and adjacent."""
-    return a[0] != b[0] and b[0] in graph.neighbors(a[0])
-
-
-def letter_key(letter):
-    return (letter[0], letter[1] < 0)
-
-
 def word_key(letters):
-    return tuple(letter_key(l) for l in letters)
+    return tuple((b, s < 0) for b, s in letters)
+
+
+def _str_letter(letter):
+    """The letter with a string base; one that has it is kept, not copied."""
+    base, sign = letter
+    return letter if type(letter) is tuple and type(base) is str else (str(base), sign)
 
 
 def check_letters(graph, letters):
@@ -60,7 +59,7 @@ class Word:
 
     def __init__(self, graph, letters=()):
         self.graph = graph
-        self.letters = check_letters(graph, tuple((str(b), s) for b, s in letters))
+        self.letters = check_letters(graph, tuple(map(_str_letter, letters)))
 
     @classmethod
     def parse(cls, graph, text):
@@ -185,30 +184,58 @@ def trace_equal(u, v):
     return all(map(operator.eq, _coordinates(u, *coords), _coordinates(v, *coords)))
 
 
+def _insert(graph, stack, letters, origins=None):
+    """Push letters in turn onto a stack holding the lexicographic normal
+    form of a positive word or of a reduced signed word, keeping it so.
+
+    Each letter scans backward past letters with adjacent bases and stops at
+    the first letter with its own base or a non-adjacent one. If that is its
+    inverse, both cancel (so a signed input that is not reduced comes out
+    reduced). Otherwise the letter goes just before the leftmost scanned
+    letter that is greater, or at the end: NF(w x) is NF(w) with x inserted
+    among the trailing letters that commute with x, and that is the least
+    such place.
+
+    ``origins``, if given, is kept parallel to the stack: pushed letters get
+    None, and a cancelled letter's entry is removed. Callers prime the stack
+    with a reduced word, so cancelling a letter of origin None is an error.
+    """
+    for letter in letters:
+        base, sign = letter
+        neighbors = graph.neighbors(base)
+        j = len(stack) - 1
+        at = j + 1
+        while j >= 0:
+            b2, s2 = stack[j]
+            if b2 == base:
+                if s2 != sign:
+                    at = None
+                break
+            if b2 not in neighbors:
+                break
+            if b2 > base:  # the bases differ, so this is word_key order
+                at = j
+            j -= 1
+        if at is None:
+            del stack[j]
+            if origins is not None and origins.pop(j) is None:
+                raise AssertionError("cancellation inside a reduced factor")
+        else:
+            stack.insert(at, letter)
+            if origins is not None:
+                origins.insert(at, None)
+
+
 def lex_normal_letters(graph, letters):
     """Lexicographically least rearrangement reachable by swapping adjacent
-    commuting letters.
+    commuting letters, positive before negative at the same base.
 
-    Works greedily: at each step the least letter whose every earlier letter
-    commutes with it is extracted. Valid for signed letters too, with
-    positive ordered before negative at the same base.
+    The input is a positive word or a reduced signed word, inserted into an
+    empty stack by ``_insert`` (which reduces a signed word that is not).
     """
-    rem = list(letters)
-    out = []
-    while rem:
-        best = None
-        best_i = -1
-        for i, l in enumerate(rem):
-            movable = True
-            for j in range(i):
-                if not letters_commute(graph, rem[j], l):
-                    movable = False
-                    break
-            if movable and (best is None or letter_key(l) < letter_key(best)):
-                best, best_i = l, i
-        out.append(best)
-        del rem[best_i]
-    return tuple(out)
+    stack = []
+    _insert(graph, stack, letters)
+    return tuple(stack)
 
 
 def trace_normal_form(word):

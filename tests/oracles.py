@@ -5,7 +5,9 @@ graph enumeration by edge-mask orbits, embedding by scanning all injections,
 clique number by scanning all subsets, geodesic length, word equivalence
 and primitive roots by breadth-first closure over the elementary rewriting
 moves (swap adjacent commuting letters, cancel an adjacent inverse pair),
-cyclic reduction by peeling one conjugating letter pair at a time.
+cyclic reduction by peeling one conjugating letter pair at a time, and the
+lexicographic normal form by the greedy extraction of the least movable letter
+(alone, or after an append-only reduction).
 """
 
 import itertools
@@ -129,23 +131,55 @@ def brute_force_primitive_root(graph, letters):
     return letters, 1
 
 
+def commute(graph, a, b):
+    """Signed letters commute iff their bases are distinct and adjacent."""
+    return a[0] != b[0] and graph.adjacent(a[0], b[0])
+
+
+def greedy_lex_normal_letters(graph, letters):
+    """Lexicographic normal form of a positive word or a reduced signed word
+    by the greedy: repeatedly extract the least letter (base order, positive
+    first) that commutes with every letter before it. Cubic."""
+    rem = list(letters)
+    out = []
+    while rem:
+        movable = [
+            i for i, l in enumerate(rem) if all(commute(graph, rem[j], l) for j in range(i))
+        ]
+        out.append(rem.pop(min(movable, key=lambda i: (rem[i][0], rem[i][1] < 0))))
+    return tuple(out)
+
+
+def two_pass_reduce(graph, letters):
+    """Canonical reduced word in two passes: append-only stack insertion
+    (each letter scans backward past letters it commutes with, and cancels
+    on meeting its inverse, otherwise it is appended), then the greedy
+    normal form."""
+    stack = []
+    for letter in letters:
+        j = len(stack) - 1
+        while j >= 0 and commute(graph, stack[j], letter):
+            j -= 1
+        if j >= 0 and stack[j] == (letter[0], -letter[1]):
+            del stack[j]
+        else:
+            stack.append(letter)
+    return greedy_lex_normal_letters(graph, stack)
+
+
 def peel_cyclic_reduce(graph, letters):
     """Cyclic reduction of a reduced word by peeling: repeatedly strip the
     least letter (base order, positive first) that moves to the front whose
     inverse moves to the back from another position, collecting the former
     into p. Returns the letters (p, h) with g = p h p^-1."""
-
-    def commute(a, b):
-        return a[0] != b[0] and graph.adjacent(a[0], b[0])
-
     word = list(letters)
     p = []
     while True:
         front, back = set(), set()
         for i, l in enumerate(word):
-            if all(commute(word[j], l) for j in range(i)):
+            if all(commute(graph, word[j], l) for j in range(i)):
                 front.add(l)
-            if all(commute(word[j], l) for j in range(i + 1, len(word))):
+            if all(commute(graph, word[j], l) for j in range(i + 1, len(word))):
                 back.add(l)
         candidates = [l for l in front if (l[0], -l[1]) in back]
         if not candidates:

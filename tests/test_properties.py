@@ -1,5 +1,7 @@
-"""Property tests over random graphs, checked against the definitions."""
+"""Property tests over random graphs, checked against the definitions and
+against the oracles."""
 
+import collections
 import itertools
 
 import pytest
@@ -19,6 +21,7 @@ from graphgroups import (  # noqa: E402
     trace_equal,
     trace_normal_form,
 )
+from oracles import commute, greedy_lex_normal_letters, two_pass_reduce  # noqa: E402
 
 SETTINGS = settings(max_examples=200, deadline=None, database=None)
 
@@ -58,6 +61,38 @@ def conjugates(draw):
     p = draw(st.lists(letters(graph), max_size=3))
     h = draw(st.lists(letters(graph), max_size=10 - 2 * len(p)))
     return graph, p + h + [(b, -s) for b, s in reversed(p)]
+
+
+@st.composite
+def long_words(draw, signed):
+    """A graph on at most seven vertices and a word of at most forty
+    letters over it, signed or positive."""
+    graph = graphs(draw, 7)
+    letter = letters(graph) if signed else st.tuples(st.sampled_from(graph.vertices), st.just(1))
+    return graph, tuple(draw(st.lists(letter, max_size=40)))
+
+
+def forbidden_factors(graph, word):
+    """Factors b u a of the word with a < b (base order, positive first)
+    and a commuting with b and with every letter of u, as index pairs: the
+    lexicographic normal form has none."""
+    key = [(b, s < 0) for b, s in word]
+    return [
+        (i, j)
+        for i, j in itertools.combinations(range(len(word)), 2)
+        if key[j] < key[i] and all(commute(graph, l, word[j]) for l in word[i:j])
+    ]
+
+
+def cancellable_pairs(graph, word):
+    """Factors l u l^-1 of the word with l commuting with every letter of u,
+    as index pairs: a reduced word has none."""
+    return [
+        (i, j)
+        for i, j in itertools.combinations(range(len(word)), 2)
+        if word[j] == (word[i][0], -word[i][1])
+        and all(commute(graph, l, word[j]) for l in word[i + 1 : j])
+    ]
 
 
 @st.composite
@@ -126,3 +161,35 @@ def test_trace_normal_form_decides_equality(case):
     nf = trace_normal_form(u)
     assert trace_normal_form(nf) == nf
     assert trace_equal(u, v) == (nf == trace_normal_form(v))
+
+
+@SETTINGS
+@given(long_words(signed=False))
+def test_trace_normal_form_matches_greedy(case):
+    graph, word = case
+    assert trace_normal_form(Word(graph, word)).letters == greedy_lex_normal_letters(graph, word)
+
+
+@SETTINGS
+@given(long_words(signed=True))
+def test_group_element_matches_two_pass_reduction(case):
+    graph, word = case
+    assert GroupElement(graph, word).letters == two_pass_reduce(graph, word)
+
+
+@SETTINGS
+@given(long_words(signed=False))
+def test_trace_normal_form_has_no_forbidden_factor(case):
+    graph, word = case
+    nf = trace_normal_form(Word(graph, word)).letters
+    assert collections.Counter(nf) == collections.Counter(word)
+    assert forbidden_factors(graph, nf) == []
+
+
+@SETTINGS
+@given(long_words(signed=True))
+def test_group_element_is_reduced_with_no_forbidden_factor(case):
+    graph, word = case
+    reduced = GroupElement(graph, word).letters
+    assert cancellable_pairs(graph, reduced) == []
+    assert forbidden_factors(graph, reduced) == []

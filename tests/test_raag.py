@@ -26,6 +26,7 @@ from oracles import (
     peel_cyclic_reduce,
     signed_alphabet,
     swap_cancel_closure,
+    two_pass_reduce,
     words_equivalent,
 )
 
@@ -96,6 +97,15 @@ class TestGroupReduce:
         for length in range(4):
             for combo in itertools.product(alphabet, repeat=length):
                 assert GroupElement(g, combo).length == bfs_geodesic_length(g, combo)
+
+    @pytest.mark.parametrize(
+        "graph", [C4(), L3(), standard_graph("E(2,2)")], ids=["C4", "L3", "E(2,2)"]
+    )
+    def test_matches_two_pass_oracle_up_to_length_four(self, graph):
+        alphabet = signed_alphabet(graph)
+        for length in range(5):
+            for combo in itertools.product(alphabet, repeat=length):
+                assert GroupElement(graph, combo).letters == two_pass_reduce(graph, combo)
 
     def test_canonical_form_orders_by_vertex_then_sign(self):
         g = C4()

@@ -21,6 +21,7 @@ from oracles import (
     all_graphs_up_to,
     brute_force_clique_number,
     brute_force_primitive_root,
+    greedy_lex_normal_letters,
     swap_cancel_closure,
 )
 
@@ -74,6 +75,12 @@ class TestWord:
     def test_rejects_sign_other_than_plus_or_minus_one(self, constructor, sign):
         with pytest.raises(ValueError):
             constructor(C4(), [("a", 1), ("b", sign)])
+
+    def test_letters_shared_when_given_as_string_based_tuples(self):
+        g = Graph(["1", "2"], [])
+        given = [("1", 1), ("2", -1)]
+        assert all(a is b for a, b in zip(Word(g, given).letters, given))
+        assert Word(g, [[1, 1], (2, -1)]).letters == (("1", 1), ("2", -1))
 
 
 class TestProjections:
@@ -178,6 +185,12 @@ class TestNormalForm:
                             cls.add(nw)
                             stack.append(nw)
             assert trace_normal_form(word).letters == min(cls)
+
+    @pytest.mark.parametrize("graph", [C4(), L3()], ids=["C4", "L3"])
+    def test_matches_greedy_oracle_up_to_length_six(self, graph):
+        for word in all_words(graph, 6):
+            expected = greedy_lex_normal_letters(graph, word.letters)
+            assert trace_normal_form(word).letters == expected
 
 
 class TestTraceCommute:
