@@ -18,6 +18,8 @@ from .graphs import Graph
 from .raag import GroupElement, group_commute, group_reduce
 from .trace import (
     Word,
+    _coordinates,
+    iter_trace_prefixes,
     lex_normal_letters,
     trace_commute,
     trace_normal_form,
@@ -101,7 +103,8 @@ class RealizationReport:
 
     ``status`` is ``"found"`` with a verified witness assignment, or
     ``"exhausted"``: no assignment of elements of canonical length <= bound
-    realizes the target. ``candidates`` counts assignment attempts examined.
+    realizes the target. ``candidates`` counts assignment attempts examined;
+    without ``strict`` only one element per commutation class is tried.
     """
 
     target: Graph
@@ -130,16 +133,61 @@ def _verify_witness(target, mode, assignment):
             raise AssertionError("witness failed the final commutation re-check")
 
 
+def _free_root(word):
+    """Primitive root of a word of a free monoid (signed letters act as
+    monoid letters): the first candidate that is a literal root."""
+    return next((r for r, k in iter_trace_prefixes(word) if r * k == word), word)
+
+
+def _projection_key(mode, graph, letters):
+    """Key of a projection onto a non-adjacent pair, None when it is
+    trivial: two projections commute exactly when one is trivial or their
+    keys are equal. Monoid: the primitive root (Lyndon and Schutzenberger).
+    Group: commuting elements of a free group are powers of one c r c^-1, so
+    the free reduction c z c^-1 (z cyclically reduced) keys on c and the
+    primitive root of z up to inversion."""
+    if mode == "monoid":
+        return _free_root(letters) if letters else None
+    letters = lex_normal_letters(graph, letters)  # x, y do not commute: free reduction
+    if not letters:
+        return None
+    i, n = 0, len(letters)
+    while letters[i] == (letters[n - 1 - i][0], -letters[n - 1 - i][1]):
+        i += 1
+    root = _free_root(letters[i : n - i])
+    inverse = tuple((b, -s) for b, s in reversed(root))
+    return letters[:i], min(root, inverse, key=word_key)
+
+
 def _commute_masks(mode, pool):
     """Per-candidate bitmask of the pool members it commutes with (every
-    element commutes with itself)."""
-    size = len(pool)
-    masks = [1 << i for i in range(size)]
-    for i in range(size):
-        for j in range(i + 1, size):
-            if _commute(mode, pool[i], pool[j]):
-                masks[i] |= 1 << j
-                masks[j] |= 1 << i
+    element commutes with itself).
+
+    Per non-adjacent pair, element i keeps the members whose projection is
+    trivial or has the key of its own (``_projection_key``); in the monoid
+    that is the commutation test itself. Group projections are not
+    faithful, so the exact ``group_commute`` then checks the pairs left.
+    """
+    if not pool:
+        return []
+    graph = pool[0].graph
+    pairs = graph.non_adjacent_pairs()
+    masks = [(1 << len(pool)) - 1] * len(pool)
+    for projections in zip(*(_coordinates(e, (), pairs, mode == "group") for e in pool)):
+        known = {s: _projection_key(mode, graph, s) for s in set(projections)}
+        keys = [known[s] for s in projections]  # elements often share a projection
+        classes = {}
+        for i, key in enumerate(keys):
+            classes[key] = classes.get(key, 0) | 1 << i
+        for i, key in enumerate(keys):
+            if key is not None:
+                masks[i] &= classes.get(None, 0) | classes[key]
+    if mode == "group":
+        for i in range(len(pool)):
+            for j in _iter_bits(masks[i] & ~((2 << i) - 1)):  # members after i
+                if not group_commute(pool[i], pool[j]):
+                    masks[i] ^= 1 << j
+                    masks[j] ^= 1 << i
     return masks
 
 
@@ -157,10 +205,13 @@ def phi_search(target, ambient, mode, max_len, strict=False):
     group with length <= max_len; target vertices are assigned in canonical
     order, pruning against the precomputed pairwise commutation pattern.
     ``strict`` requires pairwise-distinct elements (the subset reading); the
-    default allows repeats. A found witness is re-verified on all pairs,
-    with fresh commutation computations, before the report is returned.
-    The search is a single depth-first pass, so reports are deterministic.
-    ``candidates`` in the report counts assignments tried.
+    default allows repeats, and then tries only the least element of each
+    commutation class (elements commuting with exactly the same elements),
+    which finds the same first witness. A found witness is re-verified on
+    all pairs, with fresh commutation computations, before the report is
+    returned. The search is a single depth-first pass, so reports are
+    deterministic. ``candidates`` in the report counts assignments tried:
+    without ``strict``, assignments of class representatives.
     """
     if max_len < 1:
         raise ValueError("max_len must be a positive integer")
@@ -173,12 +224,14 @@ def phi_search(target, ambient, mode, max_len, strict=False):
     pool = canonical_elements(ambient, mode, max_len)
     masks = _commute_masks(mode, pool)
     full = (1 << len(pool)) - 1
+    least = {m: i for i, m in reversed(list(enumerate(masks)))}
+    start = full if strict else sum(1 << i for i in least.values())
     want_edge = [
         [target.adjacent(tverts[i], tverts[j]) for j in range(n)] for i in range(n)
     ]
 
     def allowed_for(level, assign):
-        allowed = full
+        allowed = start
         for j, a in enumerate(assign):
             allowed &= masks[a] if want_edge[level][j] else full ^ masks[a]
         if strict:

@@ -5,14 +5,15 @@ graph enumeration by edge-mask orbits, embedding by scanning all injections,
 clique number by scanning all subsets, geodesic length, word equivalence
 and primitive roots by breadth-first closure over the elementary rewriting
 moves (swap adjacent commuting letters, cancel an adjacent inverse pair),
-cyclic reduction by peeling one conjugating letter pair at a time, and the
+cyclic reduction by peeling one conjugating letter pair at a time, the
 lexicographic normal form by the greedy extraction of the least movable letter
-(alone, or after an append-only reduction).
+(alone, or after an append-only reduction), and commutation masks by the exact
+commutation test of every pair (no projection keys).
 """
 
 import itertools
 
-from graphgroups import Graph
+from graphgroups import Graph, group_commute, trace_commute
 
 
 def all_graphs_up_to_iso(n):
@@ -233,3 +234,15 @@ def cayley_ball_by_rewriting(graph, max_len):
             shortest = min(len(x) for x in closure)
             keys.add(frozenset(x for x in closure if len(x) == shortest))
     return len(keys)
+
+
+def pairwise_commute_masks(mode, pool):
+    """Per-element bitmask of the pool members it commutes with, by the
+    exact commutation test on every pair."""
+    commute = trace_commute if mode == "monoid" else group_commute
+    masks = [1 << i for i in range(len(pool))]
+    for i, j in itertools.combinations(range(len(pool)), 2):
+        if commute(pool[i], pool[j]):
+            masks[i] |= 1 << j
+            masks[j] |= 1 << i
+    return masks

@@ -196,7 +196,7 @@ def test_06_square_realizability_in_groups():
     # four-cycle: exhausted everywhere else, found on the four-cycle itself.
     failures = []
     c4 = standard_graph("C4")
-    ambients = all_graphs_up_to(4)
+    ambients = all_graphs_up_to(5)
     with_square = 0
     for ambient in ambients:
         has_square = find_embedding(c4, ambient) is not None
@@ -209,8 +209,10 @@ def test_06_square_realizability_in_groups():
             report = phi_search(c4, ambient, "group", 2)
             if report.status != "exhausted":
                 failures.append(("expected exhausted", ambient.edges()))
-    if with_square != 1:
-        failures.append(("expected exactly one ambient with an induced square", with_square))
+    # C4 itself, and C4 plus a fifth vertex joined to none, one, two adjacent,
+    # two opposite, three or all four of its vertices.
+    if with_square != 7:
+        failures.append(("expected exactly seven ambients with an induced square", with_square))
     _report(6, "group square realizability only with an induced square", failures,
             f"{len(ambients)} ambient graphs")
 
@@ -220,12 +222,13 @@ def test_07_square_realizability_in_monoids():
     # embeds (the pattern graph is the complement of two disjoint edges).
     failures = []
     c4 = standard_graph("C4")
-    ambients = all_graphs_up_to(4)
+    ambients = all_graphs_up_to(5)
     for ambient in ambients:
         embeds = find_embedding(c4, ambient) is not None
-        report = phi_search(c4, ambient, "monoid", 2)
-        if report.found != embeds:
-            failures.append((ambient.edges(), report.status, embeds))
+        for bound in (2, 3):
+            report = phi_search(c4, ambient, "monoid", bound)
+            if report.found != embeds:
+                failures.append((ambient.edges(), bound, report.status, embeds))
     _report(7, "monoid square realizability iff the square embeds", failures,
             f"{len(ambients)} ambient graphs")
 

@@ -7,10 +7,17 @@ from graphgroups import (
     canonical_elements,
     commutation_graph,
     find_embedding,
+    group_reduce,
     phi_search,
     standard_graph,
 )
-from oracles import all_graphs_up_to, cayley_ball_by_rewriting
+from graphgroups.commgraph import _commute_masks
+from oracles import (
+    all_graphs_up_to,
+    all_graphs_up_to_iso,
+    cayley_ball_by_rewriting,
+    pairwise_commute_masks,
+)
 
 
 def C4():
@@ -166,3 +173,80 @@ class TestRealizabilityVsEmbedding:
         assert find_embedding(target, ambient) is None
         strict = phi_search(target, ambient, "monoid", 2, strict=True)
         assert strict.found
+
+
+class TestCommuteMasks:
+    @pytest.mark.parametrize(
+        "name, mode, max_len",
+        [
+            ("C4", "group", 3),
+            ("path(4)", "group", 3),
+            ("path(3)", "group", 4),
+            ("C4", "monoid", 4),
+            ("path(4)", "monoid", 4),
+            ("cycle(5)", "monoid", 4),
+        ],
+    )
+    def test_projection_keys_match_pairwise_tests(self, name, mode, max_len):
+        pool = canonical_elements(standard_graph(name), mode, max_len)
+        assert _commute_masks(mode, pool) == pairwise_commute_masks(mode, pool)
+
+    def test_exact_test_clears_pair_with_trivial_projections(self):
+        # Every rank-2 projection of g is trivial (acceptance test 10), yet g
+        # does not commute with x: only the exact group test tells.
+        g = Graph(["x", "y", "z"], [("y", "z")])
+        pool = [group_reduce(Word.parse(g, w)) for w in ("x y x' z x y' x' z'", "x")]
+        assert _commute_masks("group", pool) == [0b01, 0b10]
+
+
+def reference_search(target, pool, masks):
+    """Depth-first search over the whole pool, repeats allowed: the first
+    witness as pool indices (None when exhausted) and the candidates tried."""
+    verts = target.vertices
+    edge = [[target.adjacent(u, v) for v in verts] for u in verts]
+    full = (1 << len(pool)) - 1
+    examined = 0
+
+    def dfs(assign):
+        nonlocal examined
+        allowed = full
+        for j, a in enumerate(assign):
+            allowed &= masks[a] if edge[len(assign)][j] else full ^ masks[a]
+        while allowed:
+            c = (allowed & -allowed).bit_length() - 1
+            allowed &= allowed - 1
+            examined += 1
+            assign.append(c)
+            if len(assign) == len(verts) or dfs(assign):
+                return True
+            assign.pop()
+        return False
+
+    found = []
+    return (found if dfs(found) else None), examined
+
+
+class TestClassRepresentatives:
+    """The default search tries one element per commutation class and must
+    still report the first witness of the search over the whole pool."""
+
+    def check(self, targets, ambient, mode, max_len):
+        pool = canonical_elements(ambient, mode, max_len)
+        masks = pairwise_commute_masks(mode, pool)
+        for target in targets:
+            found, examined = reference_search(target, pool, masks)
+            report = phi_search(target, ambient, mode, max_len)
+            assert report.found == (found is not None)
+            if found is not None:
+                assert report.witness == {v: pool[c] for v, c in zip(target.vertices, found)}
+            assert report.candidates <= examined
+
+    def test_targets_into_cycle5(self):
+        targets = [t for n in (3, 4, 5) for t in all_graphs_up_to_iso(n)]
+        self.check(targets, standard_graph("cycle(5)"), "group", 2)
+        self.check(targets, standard_graph("cycle(5)"), "monoid", 3)
+
+    def test_square_into_small_ambients(self):
+        for ambient in all_graphs_up_to(5):
+            self.check([standard_graph("C4")], ambient, "group", 2)
+            self.check([standard_graph("C4")], ambient, "monoid", 2)

@@ -3,12 +3,13 @@ against the oracles."""
 
 import collections
 import itertools
+from unittest import mock
 
 import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 from graphgroups import (  # noqa: E402
     Graph,
@@ -21,6 +22,7 @@ from graphgroups import (  # noqa: E402
     trace_equal,
     trace_normal_form,
 )
+from graphgroups import commgraph  # noqa: E402
 from oracles import commute, greedy_lex_normal_letters, two_pass_reduce  # noqa: E402
 
 SETTINGS = settings(max_examples=200, deadline=None, database=None)
@@ -70,6 +72,28 @@ def long_words(draw, signed):
     graph = graphs(draw, 7)
     letter = letters(graph) if signed else st.tuples(st.sampled_from(graph.vertices), st.just(1))
     return graph, tuple(draw(st.lists(letter, max_size=40)))
+
+
+@st.composite
+def commuting_pairs(draw):
+    """A graph on at most five vertices and two elements c z^a c^-1 and
+    c z^b c^-1 (|a|, |b| <= 2) of at most twelve letters."""
+    graph = graphs(draw, 5)
+    c = GroupElement(graph, draw(st.lists(letters(graph), max_size=2)))
+    z = GroupElement(graph, draw(st.lists(letters(graph), min_size=1, max_size=4)))
+    a, b = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+    return c * z**a * c.inverse(), c * z**b * c.inverse()
+
+
+@st.composite
+def conjugated_letters(draw):
+    """A graph on at most six vertices with a non-adjacent pair {x, y}, and
+    the elements x y x^-1 and y."""
+    graph = graphs(draw, 6)
+    pairs = graph.non_adjacent_pairs()
+    assume(pairs)
+    x, y = draw(st.sampled_from(pairs))
+    return GroupElement(graph, [(x, 1), (y, 1), (x, -1)]), GroupElement(graph, [(y, 1)])
 
 
 def forbidden_factors(graph, word):
@@ -193,3 +217,21 @@ def test_group_element_is_reduced_with_no_forbidden_factor(case):
     reduced = GroupElement(graph, word).letters
     assert cancellable_pairs(graph, reduced) == []
     assert forbidden_factors(graph, reduced) == []
+
+
+@SETTINGS
+@given(commuting_pairs())
+def test_commuting_conjugates_share_mask_bits(pair):
+    masks = commgraph._commute_masks("group", list(pair))
+    assert masks == [0b11, 0b11]
+
+
+@SETTINGS
+@given(conjugated_letters())
+def test_projection_key_separates_conjugates(pair):
+    # x y x^-1 and y differ only in the conjugator of their {x, y}
+    # projections, so the key alone must tell them apart.
+    with mock.patch.object(commgraph, "group_commute", wraps=commgraph.group_commute) as exact:
+        masks = commgraph._commute_masks("group", list(pair))
+    assert masks == [0b01, 0b10]
+    assert exact.call_count == 0
