@@ -101,6 +101,8 @@ class Graph:
         )
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if not isinstance(other, Graph):
             return NotImplemented
         return self.vertices == other.vertices and self._edges == other._edges

@@ -10,7 +10,8 @@ Reduction and normal form are one left-to-right stack insertion
 adjacent bases and cancels on meeting its inverse; otherwise it goes to the
 least place among the letters it scanned past. The result contains no factor
 l ... l^-1 whose intermediate letters all commute with l, which characterizes
-geodesics here, and is already in lexicographic normal form.
+geodesics here, and is already in lexicographic normal form, so a product
+u v inserts only the letters of v after those of u.
 
 Beyond the word problem this module provides reduced product factorizations
 (which letters cancel when one reduced word is inserted after another),
@@ -19,11 +20,13 @@ class, read off the cancellation in g g by that same insertion), pure factors
 of cyclically reduced elements (one primitive commuting piece per
 co-component of the support), and centralizer witnesses of the
 form p k1 k2 p^-1 with k1 a product of pure-factor powers and k2 commuting
-totally with the cyclic reduction, the exponents of k1 read off projections.
+totally with the cyclic reduction, the exponents of k1 read off projections
+(the part that depends on g alone is cached per g).
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .graphs import co_components, induced
@@ -53,9 +56,11 @@ def _cancel(graph, u_letters, v_letters):
 class GroupElement:
     """A group element in canonical reduced form.
 
-    The constructor accepts any letter sequence and canonicalizes it in one
-    stack insertion, which reduces and sorts at once; equality and hashing
-    compare the ambient graph and the canonical word.
+    The constructor checks any letter sequence against the graph and
+    canonicalizes it in one stack insertion, which reduces and sorts at once.
+    Products, powers and inverses insert only the letters of the right factor
+    after the left one's canonical letters, and check nothing again. Equality
+    and hashing compare the ambient graph and the canonical word.
     """
 
     __slots__ = ("graph", "letters")
@@ -65,6 +70,17 @@ class GroupElement:
         _insert(graph, stack, check_letters(graph, tuple(letters)))
         self.graph = graph
         self.letters = tuple(stack)
+
+    @classmethod
+    def _inserted(cls, graph, prefix, letters):
+        """The element prefix * letters, for prefix a normal form (which an
+        insertion into an empty stack would rebuild) and valid letters."""
+        stack = list(prefix)
+        _insert(graph, stack, letters)
+        element = object.__new__(cls)
+        element.graph = graph
+        element.letters = tuple(stack)
+        return element
 
     @classmethod
     def identity(cls, graph):
@@ -86,8 +102,8 @@ class GroupElement:
         return frozenset(b for b, _ in self.letters)
 
     def inverse(self):
-        return GroupElement(
-            self.graph, tuple((b, -s) for b, s in reversed(self.letters))
+        return self._inserted(
+            self.graph, (), tuple((b, -s) for b, s in reversed(self.letters))
         )
 
     def __mul__(self, other):
@@ -95,12 +111,13 @@ class GroupElement:
             return NotImplemented
         if self.graph != other.graph:
             raise ValueError("elements over different ambient graphs")
-        return GroupElement(self.graph, self.letters + other.letters)
+        return self._inserted(self.graph, self.letters, other.letters)
 
     def __pow__(self, n):
         if n < 0:
             return self.inverse() ** (-n)
-        return GroupElement(self.graph, self.letters * n)
+        prefix = self.letters if n else ()  # letters * -1 is ()
+        return self._inserted(self.graph, prefix, self.letters * (n - 1))
 
     def __eq__(self, other):
         if not isinstance(other, GroupElement):
@@ -291,6 +308,14 @@ class CentralizerOutcome:
         return w.p * k1 * w.k2 * w.p.inverse()
 
 
+@functools.lru_cache(maxsize=64)
+def _centralizer_structure(g):
+    """g = p h p^-1 and the pure factors of h, for a reduced g (immutable,
+    and the cache key holds its graph)."""
+    decomposition = cyclic_reduce(g)
+    return decomposition, pure_factors(decomposition.h)
+
+
 def centralizer_witness(g, k):
     """Centralizer decomposition of k with respect to g.
 
@@ -300,14 +325,15 @@ def centralizer_witness(g, k):
     the block of r_i is a retraction, which leaves r_i**c_i. A one-vertex
     block lies in the link, so its c_i is 0 and its letters stay in
     k2 = k1^-1 q. A failed check raises AssertionError, never a wrong witness.
+    p, h and the pure factors are cached for the last 64 g, so calls that
+    repeat g compute them once; a one-off call costs what it did before.
     """
     g, k = group_reduce(g), group_reduce(k)
     if g.graph != k.graph:
         raise ValueError("elements over different ambient graphs")
     graph = g.graph
-    decomposition = cyclic_reduce(g)
+    decomposition, factorization = _centralizer_structure(g)
     p, h = decomposition.p, decomposition.h
-    factorization = pure_factors(h)
     if not group_commute(g, k):
         return CentralizerOutcome(
             "proved-non-commuting", None, decomposition, factorization

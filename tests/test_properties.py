@@ -48,11 +48,11 @@ def powers(draw):
 
 
 @st.composite
-def signed_words(draw, count):
+def signed_words(draw, count, max_size=10):
     """A graph on at most seven vertices and ``count`` signed words of at
-    most ten letters over it."""
+    most ``max_size`` letters over it."""
     graph = graphs(draw, 7)
-    return graph, [draw(st.lists(letters(graph), max_size=10)) for _ in range(count)]
+    return graph, [draw(st.lists(letters(graph), max_size=max_size)) for _ in range(count)]
 
 
 @st.composite
@@ -153,6 +153,19 @@ def test_element_times_inverse_is_identity(case):
     graph, (letters,) = case
     u = GroupElement(graph, letters)
     assert (u * u.inverse()).is_identity
+
+
+@SETTINGS
+@given(signed_words(2, max_size=20), st.integers(0, 3))
+def test_products_powers_and_inverses_match_construction(case, n):
+    # Products, powers and inverses insert into a stack primed with
+    # canonical letters; the constructor reduces the whole word from scratch.
+    graph, (u_letters, v_letters) = case
+    u, v = GroupElement(graph, u_letters), GroupElement(graph, v_letters)
+    assert (u * v).letters == GroupElement(graph, u_letters + v_letters).letters
+    assert (u**n).letters == GroupElement(graph, u_letters * n).letters
+    inverse = [(b, -s) for b, s in reversed(u_letters)]
+    assert u.inverse().letters == GroupElement(graph, inverse).letters
 
 
 @SETTINGS

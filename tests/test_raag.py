@@ -19,6 +19,7 @@ from graphgroups import (
     standard_graph,
     support,
 )
+from graphgroups.raag import _centralizer_structure
 from oracles import (
     bfs_geodesic_length,
     brute_force_primitive_root,
@@ -397,6 +398,35 @@ class TestCentralizerWitness:
                 assert out.status in ("witness", "proved-non-commuting")
                 if out.found:
                     assert out.reconstruct() == b
+
+    def test_same_letters_over_two_graphs_keep_their_own_structure(self):
+        # C4 and the path a-b-c-d differ only in the edge {a, d}. Both words
+        # are reduced and in normal form over both graphs, but over C4
+        # a c a^-1 d has p = a and a d two pure factors; over the path,
+        # a c a^-1 d is cyclically reduced and a d is one pure factor.
+        path = Graph("a b c d".split(), [("a", "b"), ("b", "c"), ("c", "d")])
+        for text in ("a c a' d", "a d"):
+            assert el(C4(), text).letters == el(path, text).letters
+            structures = []
+            for graph in (C4(), path, C4(), path):
+                g = el(graph, text)
+                out = centralizer_witness(g, el(graph, "a"))
+                decomposition = cyclic_reduce(g)
+                assert out.decomposition == decomposition
+                assert out.factorization == pure_factors(decomposition.h)
+                structures.append((out.decomposition, out.factorization))
+            assert structures[0] == structures[2] != structures[1] == structures[3]
+
+    def test_cached_structure_matches_a_cold_start(self):
+        for graph in (C4(), L3()):
+            elements = ball(graph, 2)
+            for a in elements:
+                hot = [centralizer_witness(a, b) for b in elements]
+                cold = []
+                for b in elements:
+                    _centralizer_structure.cache_clear()
+                    cold.append(centralizer_witness(a, b))
+                assert hot == cold
 
     def test_matches_bounded_search_reference(self):
         for graph in (C4(), L3()):
