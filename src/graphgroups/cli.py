@@ -16,7 +16,7 @@ import sys
 
 from . import conceal as conceal_mod
 from . import raag, trace
-from .commgraph import commutation_graph, phi_search
+from .commgraph import commutes_along, phi_search
 from .graphs import (
     ParseError,
     co_components,
@@ -240,15 +240,7 @@ def cmd_conceal_verify(args):
     result = conceal_mod.build_concealment(g)
     no_embed = conceal_mod.verify_no_embedding(result)
 
-    family = conceal_mod.monoid_phi_witness(result)
-    cg = commutation_graph(family)
-    gverts = result.gamma.vertices
-    names = cg.vertices
-    matches = all(
-        cg.adjacent(names[i], names[j]) == result.gamma.adjacent(gverts[i], gverts[j])
-        for i in range(len(gverts))
-        for j in range(i + 1, len(gverts))
-    )
+    matches = commutes_along(result.gamma, "monoid", conceal_mod.monoid_phi_witness(result).members)
 
     report = conceal_mod.verify_tau_injective(result, args.max_len)
     checks = (

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from .graphs import Graph
 from .raag import GroupElement, group_commute, group_reduce
 from .trace import (
-    Word,
     _coordinates,
     iter_trace_prefixes,
     lex_normal_letters,
@@ -74,27 +73,26 @@ def commutation_graph(family):
 
 
 def canonical_elements(ambient, mode, max_len):
-    """All distinct canonical elements of length <= max_len, ordered by
-    length then lexicographically. The group pool is the ball of that radius:
-    every raw signed word of bounded length is reduced and deduplicated."""
+    """All distinct canonical elements of length <= max_len (the group pool
+    is the ball of that radius), by length then lexicographically. Prefixes
+    of normal forms are normal forms, so w l joins when inserting the letter
+    l into w's stack leaves w as it is and puts l last. Parents in order and
+    letters in ``word_key`` order give the sorted ball. Positive letters
+    never cancel, so in the monoid this is the trace normal form."""
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    seen = {}  # canonical letters -> their group element (None for monoids)
-    if mode == "monoid":
-        alphabet = [(v, 1) for v in ambient.vertices]
-    else:
-        alphabet = [s for v in ambient.vertices for s in ((v, 1), (v, -1))]
-    for length in range(max_len + 1):
-        for combo in itertools.product(alphabet, repeat=length):
-            if mode == "monoid":
-                seen[lex_normal_letters(ambient, combo)] = None
-            else:
-                element = GroupElement(ambient, combo)
-                seen[element.letters] = element
-    ordered = sorted(seen, key=lambda ls: (len(ls), word_key(ls)))
-    if mode == "monoid":
-        return [Word(ambient, ls) for ls in ordered]
-    return [seen[ls] for ls in ordered]
+    if max_len < 0:
+        raise ValueError("max_len must be a non-negative integer")
+    signs = (1,) if mode == "monoid" else (1, -1)
+    alphabet = [((v, s),) for v in ambient.vertices for s in signs]
+    ball = [GroupElement.identity(ambient)]
+    for w in ball:  # read while it grows: a queue, one level after another
+        if len(w.letters) < max_len:
+            for letter in alphabet:
+                grown = GroupElement._inserted(ambient, w.letters, letter)
+                if grown.letters == w.letters + letter:
+                    ball.append(grown)
+    return [element.word() for element in ball] if mode == "monoid" else ball
 
 
 @dataclass(frozen=True)
@@ -125,12 +123,13 @@ class RealizationReport:
         return "\n".join(lines) + "\n"
 
 
-def _verify_witness(target, mode, assignment):
+def commutes_along(target, mode, members):
+    """Whether members i, j commute exactly when target vertices i, j are adjacent."""
     verts = target.vertices
-    for i, j in itertools.combinations(range(len(verts)), 2):
-        commute = _commute(mode, assignment[i], assignment[j])
-        if commute != target.adjacent(verts[i], verts[j]):
-            raise AssertionError("witness failed the final commutation re-check")
+    return all(
+        _commute(mode, members[i], members[j]) == target.adjacent(verts[i], verts[j])
+        for i, j in itertools.combinations(range(len(verts)), 2)
+    )
 
 
 def _free_root(word):
@@ -256,6 +255,7 @@ def phi_search(target, ambient, mode, max_len, strict=False):
     if not dfs(found):
         return RealizationReport(target, "exhausted", None, max_len, examined)
     assignment = [pool[c] for c in found]
-    _verify_witness(target, mode, assignment)
+    if not commutes_along(target, mode, assignment):
+        raise AssertionError("witness failed the final commutation re-check")
     witness = {tverts[i]: assignment[i] for i in range(n)}
     return RealizationReport(target, "found", witness, max_len, examined)

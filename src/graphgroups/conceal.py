@@ -173,8 +173,9 @@ def verify_tau_injective(result, max_len):
     """Check well-definedness on the defining relations and injectivity on
     the ball of canonical elements of length <= max_len.
 
-    Injectivity is checked by hashing canonical image forms: a collision of
-    images is exactly a pair of distinct elements the morphism identifies.
+    Each image is its parent's with tau of the last letter inserted, since
+    tau(w l) = tau(w) tau(l). Images are hashed: a collision of images is
+    exactly a pair of distinct elements the morphism identifies.
     """
     if max_len < 1:
         raise ValueError("max_len must be a positive integer")
@@ -185,11 +186,17 @@ def verify_tau_injective(result, max_len):
         if not group_commute(result.tau[a], result.tau[b])
     ]
 
+    alphabet = [(v, s) for v in gamma.vertices for s in (1, -1)]
+    tau_of = {l: result.apply_tau(Word(gamma, (l,))).letters for l in alphabet}
     ball = canonical_elements(gamma, "group", max_len)
+    images = {(): ()}  # element letters -> canonical image letters
     seen = {}
     collisions = []
     for element in ball:
-        img = GroupElement(omega, result.apply_tau(element.word()).letters).letters
+        w = element.letters
+        if w:
+            images[w] = GroupElement._inserted(omega, images[w[:-1]], tau_of[w[-1]]).letters
+        img = images[w]
         if img in seen:
             collisions.append((seen[img], element))
         else:

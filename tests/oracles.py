@@ -7,8 +7,9 @@ and primitive roots by breadth-first closure over the elementary rewriting
 moves (swap adjacent commuting letters, cancel an adjacent inverse pair),
 cyclic reduction by peeling one conjugating letter pair at a time, the
 lexicographic normal form by the greedy extraction of the least movable letter
-(alone, or after an append-only reduction), and commutation masks by the exact
-commutation test of every pair (no projection keys).
+(alone, or after an append-only reduction), balls by reducing every raw word
+of bounded length, and commutation masks by the exact commutation test of
+every pair (no projection keys).
 """
 
 import itertools
@@ -234,6 +235,19 @@ def cayley_ball_by_rewriting(graph, max_len):
             shortest = min(len(x) for x in closure)
             keys.add(frozenset(x for x in closure if len(x) == shortest))
     return len(keys)
+
+
+def raw_word_ball(graph, mode, max_len):
+    """Letters of the distinct canonical elements of length <= max_len, by
+    reducing every raw word of bounded length (signed words in the group,
+    positive ones in the monoid), deduplicating, and sorting by length then
+    base order, positive before negative."""
+    alphabet = signed_alphabet(graph) if mode == "group" else [(v, 1) for v in graph.vertices]
+    seen = set()
+    for length in range(max_len + 1):
+        for w in itertools.product(alphabet, repeat=length):
+            seen.add(two_pass_reduce(graph, w))
+    return sorted(seen, key=lambda ls: (len(ls), [(b, s < 0) for b, s in ls]))
 
 
 def pairwise_commute_masks(mode, pool):

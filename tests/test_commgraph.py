@@ -3,6 +3,7 @@ import pytest
 from graphgroups import (
     ElementFamily,
     Graph,
+    GroupElement,
     Word,
     canonical_elements,
     commutation_graph,
@@ -11,12 +12,13 @@ from graphgroups import (
     phi_search,
     standard_graph,
 )
-from graphgroups.commgraph import _commute_masks
+from graphgroups.commgraph import _commute_masks, commutes_along
 from oracles import (
     all_graphs_up_to,
     all_graphs_up_to_iso,
     cayley_ball_by_rewriting,
     pairwise_commute_masks,
+    raw_word_ball,
 )
 
 
@@ -80,6 +82,43 @@ class TestCanonicalElements:
         pool = canonical_elements(g, "group", 1)
         rendered = [str(e) for e in pool]
         assert rendered == ["", "a", "a'", "b", "b'", "c", "c'", "d", "d'"]
+
+    @pytest.mark.parametrize(
+        "name", ["C4", "L3", "cycle(5)", "path(5)", "E(2,2)", "complete(4)", "E(3,0)", "cycle(6)"]
+    )
+    @pytest.mark.parametrize("mode, max_len", [("monoid", 4), ("group", 3)])
+    def test_matches_raw_word_oracle_in_order(self, name, mode, max_len):
+        g = standard_graph(name)
+        pool = canonical_elements(g, mode, max_len)
+        assert [e.letters for e in pool] == raw_word_ball(g, mode, max_len)
+        assert all(type(e) is (Word if mode == "monoid" else GroupElement) for e in pool)
+
+    @pytest.mark.parametrize("mode", ["monoid", "group"])
+    def test_radius_zero_is_the_identity(self, mode):
+        assert [e.letters for e in canonical_elements(C4(), mode, 0)] == [()]
+
+    @pytest.mark.parametrize("mode", ["monoid", "group"])
+    @pytest.mark.parametrize("max_len", [-1, -5])
+    def test_negative_radius_rejected(self, mode, max_len):
+        with pytest.raises(ValueError):
+            canonical_elements(C4(), mode, max_len)
+
+
+class TestCommutesAlong:
+    def test_generators_commute_along_their_graph(self):
+        g = C4()
+        members = [Word.parse(g, v) for v in g.vertices]
+        assert commutes_along(g, "monoid", members)
+        assert commutes_along(g, "group", [group_reduce(m) for m in members])
+
+    def test_order_breaking_the_pattern_fails(self):
+        # In the order a c b d the non-commuting a, c land on the target's
+        # edge v1-v2; the square relabelled to that order accepts it.
+        g = C4()
+        members = [Word.parse(g, v) for v in "a c b d".split()]
+        assert not commutes_along(standard_graph("C4"), "monoid", members)
+        relabelled = Graph("1 2 3 4".split(), [("1", "3"), ("1", "4"), ("2", "3"), ("2", "4")])
+        assert commutes_along(relabelled, "monoid", members)
 
 
 class TestPhiSearch:

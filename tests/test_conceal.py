@@ -1,10 +1,15 @@
+from unittest import mock
+
 import pytest
 
+import graphgroups.conceal as conceal_module
 from graphgroups import (
+    ConcealmentResult,
     Graph,
     GroupElement,
     Word,
     build_concealment,
+    canonical_elements,
     commutation_graph,
     eligible,
     find_embedding,
@@ -127,6 +132,56 @@ class TestVerification:
             result = build_concealment(gamma)
             report = verify_tau_injective(result, 1)
             assert report.morphism_failures == ()
+
+
+def hand_built(gamma, images):
+    """A concealment result over gamma with the given generator images in
+    the two-letter omega x, y (no eligibility or construction checks)."""
+    omega = Graph(["x", "y"])
+    tau = {v: Word.parse(omega, images[v]) for v in gamma.vertices}
+    return ConcealmentResult(gamma, omega, "e", "f", "g", "x", "y", tau)
+
+
+class TestTauFailures:
+    def test_collisions_of_a_non_injective_substitution(self):
+        result = hand_built(three_isolated(), {"e": "x", "f": "x", "g": "y x"})
+        report = verify_tau_injective(result, 2)
+        assert not report.passed
+        assert report.morphism_failures == ()
+        assert report.element_count == 37
+        assert [(str(a), str(b)) for a, b in report.collisions] == [
+            ("e", "f"), ("e'", "f'"), ("e e", "e f"), ("", "e f'"), ("", "e' f"),
+            ("e' e'", "e' f'"), ("e e", "f e"), ("", "f e'"), ("e e", "f f"),
+            ("e g", "f g"), ("e g'", "f g'"), ("", "f' e"), ("e' e'", "f' e'"),
+            ("e' e'", "f' f'"), ("e' g", "f' g"), ("e' g'", "f' g'"), ("g e", "g f"),
+            ("g e'", "g f'"), ("g' e", "g' f"), ("g' e'", "g' f'"),
+        ]
+
+    def test_edge_sent_to_non_commuting_images(self):
+        gamma = Graph(["e", "f", "g"], [("e", "f")])
+        report = verify_tau_injective(hand_built(gamma, {"e": "x", "f": "y", "g": "x y"}), 2)
+        assert report.morphism_failures == (("e", "f"),)
+        assert not report.passed
+
+    def test_images_from_parents_match_direct_images(self):
+        # verify_tau_injective inserts tau of the last letter into the
+        # parent's image; the direct image reduces all of tau(w) at once.
+        for gamma in all_graphs_up_to(5):
+            if not eligible(gamma):
+                continue
+            result = build_concealment(gamma)
+            images = []
+
+            def record(graph, prefix, letters):
+                image = GroupElement._inserted(graph, prefix, letters)
+                images.append(image.letters)
+                return image
+
+            with mock.patch.object(conceal_module, "GroupElement", mock.Mock(_inserted=record)):
+                verify_tau_injective(result, 3)
+            ball = canonical_elements(gamma, "group", 3)[1:]  # the identity maps to ()
+            direct = [GroupElement(result.omega, result.apply_tau(w.word()).letters) for w in ball]
+            assert images == [image.letters for image in direct]
 
 
 class TestPhiWitness:

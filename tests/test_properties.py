@@ -23,7 +23,12 @@ from graphgroups import (  # noqa: E402
     trace_normal_form,
 )
 from graphgroups import commgraph  # noqa: E402
-from oracles import commute, greedy_lex_normal_letters, two_pass_reduce  # noqa: E402
+from oracles import (  # noqa: E402
+    commute,
+    greedy_lex_normal_letters,
+    raw_word_ball,
+    two_pass_reduce,
+)
 
 SETTINGS = settings(max_examples=200, deadline=None, database=None)
 
@@ -137,6 +142,15 @@ def positive_pairs(draw):
     return graph, Word(graph, [(b, 1) for b in u]), Word(graph, [(b, 1) for b in v])
 
 
+@st.composite
+def balls(draw):
+    """A graph on at most five vertices, a mode and a radius of at most four
+    in the monoid and three in the group."""
+    graph = graphs(draw, 5)
+    mode = draw(st.sampled_from(("monoid", "group")))
+    return graph, mode, draw(st.integers(0, 4 if mode == "monoid" else 3))
+
+
 @SETTINGS
 @given(powers())
 def test_primitive_root_of_a_power(case):
@@ -248,3 +262,12 @@ def test_projection_key_separates_conjugates(pair):
         masks = commgraph._commute_masks("group", list(pair))
     assert masks == [0b01, 0b10]
     assert exact.call_count == 0
+
+
+@SETTINGS
+@given(balls())
+def test_canonical_elements_match_raw_word_oracle(case):
+    # The ball grows from parents; the oracle reduces every raw word.
+    graph, mode, max_len = case
+    pool = commgraph.canonical_elements(graph, mode, max_len)
+    assert [e.letters for e in pool] == raw_word_ball(graph, mode, max_len)
