@@ -227,9 +227,15 @@ def cmd_conceal_check(args):
     return 0 if report.eligible else 1
 
 
+def _concealment(g, path):
+    try:  # an ineligible graph names its file, as a ParseError does
+        return conceal_mod.build_concealment(g)
+    except ValueError as exc:
+        raise ParseError(str(exc), path) from exc
+
+
 def cmd_conceal_build(args):
-    g = _load_graph(args.graph)
-    result = conceal_mod.build_concealment(g)
+    result = _concealment(_load_graph(args.graph), args.graph)
     print(result.serialize(), end="")
     return 0
 
@@ -237,7 +243,7 @@ def cmd_conceal_build(args):
 def cmd_conceal_verify(args):
     g = _load_graph(args.graph)
     _check_bound(args.max_len)
-    result = conceal_mod.build_concealment(g)
+    result = _concealment(g, args.graph)
     no_embed = conceal_mod.verify_no_embedding(result)
 
     matches = commutes_along(result.gamma, "monoid", conceal_mod.monoid_phi_witness(result).members)

@@ -6,7 +6,7 @@ realizability search asks the converse question for a target graph: does some
 assignment of elements (of bounded canonical length) to target vertices
 commute exactly along the target's edges? An exhausted answer is a
 certificate only relative to the stated length bound, which every report
-carries.
+carries. Candidates come from ``_ball``: one automaton step per element.
 """
 
 from __future__ import annotations
@@ -17,7 +17,9 @@ from dataclasses import dataclass
 from .graphs import Graph
 from .raag import GroupElement, group_commute, group_reduce
 from .trace import (
+    Word,
     _coordinates,
+    _follow_table,
     iter_trace_prefixes,
     lex_normal_letters,
     trace_commute,
@@ -72,27 +74,36 @@ def commutation_graph(family):
     return Graph(names, edges)
 
 
+def _ball(ambient, mode, max_len):
+    """The ball of radius max_len as (letters, parent index, last letter),
+    by length then lexicographically, the identity first with parent None.
+    w l is a normal form exactly when w is one and l is in follow(w)
+    (``trace._follow_table``), so a parent's mask lists its children in
+    order. Only the elements shorter than max_len are kept, with their masks;
+    they come first, so their indices are their places in the ball."""
+    letters, _, keep, up = _follow_table(ambient)
+    alphabet = sum(1 << i for i, (_, s) in enumerate(letters) if mode == "group" or s > 0)
+    yield (), None, None
+    kept = [((), alphabet)] if max_len else []
+    for parent, (w, follow) in enumerate(kept):  # read while it grows: a queue
+        for i in _iter_bits(follow & alphabet):
+            child = w + (letters[i],)
+            yield child, parent, letters[i]
+            if len(child) < max_len:
+                kept.append((child, keep[i] | follow & up[i]))
+
+
 def canonical_elements(ambient, mode, max_len):
     """All distinct canonical elements of length <= max_len (the group pool
-    is the ball of that radius), by length then lexicographically. Prefixes
-    of normal forms are normal forms, so w l joins when inserting the letter
-    l into w's stack leaves w as it is and puts l last. Parents in order and
-    letters in ``word_key`` order give the sorted ball. Positive letters
-    never cancel, so in the monoid this is the trace normal form."""
+    is the ball of that radius), in ``_ball`` order. Positive letters never
+    cancel, so in the monoid these are the trace normal forms."""
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     if max_len < 0:
         raise ValueError("max_len must be a non-negative integer")
-    signs = (1,) if mode == "monoid" else (1, -1)
-    alphabet = [((v, s),) for v in ambient.vertices for s in signs]
-    ball = [GroupElement.identity(ambient)]
-    for w in ball:  # read while it grows: a queue, one level after another
-        if len(w.letters) < max_len:
-            for letter in alphabet:
-                grown = GroupElement._inserted(ambient, w.letters, letter)
-                if grown.letters == w.letters + letter:
-                    ball.append(grown)
-    return [element.word() for element in ball] if mode == "monoid" else ball
+    if mode == "monoid":
+        return [Word(ambient, w) for w, _, _ in _ball(ambient, mode, max_len)]
+    return [GroupElement._inserted(ambient, w, ()) for w, _, _ in _ball(ambient, mode, max_len)]
 
 
 @dataclass(frozen=True)

@@ -18,10 +18,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .commgraph import ElementFamily, canonical_elements
+from .commgraph import ElementFamily, _ball
 from .graphs import Graph, find_embedding, format_graph
 from .raag import GroupElement, group_commute
-from .trace import Word
+from .trace import Word, _follow_table
 
 
 @dataclass(frozen=True)
@@ -169,41 +169,55 @@ class TauInjectivityReport:
         return not self.morphism_failures and not self.collisions
 
 
+def _tau_images(result, max_len):
+    """The ball of radius max_len as (element letters, image letters). As
+    tau(w l) = tau(w) tau(l), tau(l) is appended to the parent's image with
+    one step of the image's follow mask over omega (``trace._follow_table``)
+    per letter when every letter is in the mask; otherwise it is inserted,
+    and the mask is recomputed over the result."""
+    _, index, keep, up = _follow_table(result.omega)
+    tau_of = {(v, s): result.apply_tau(Word(result.gamma, ((v, s),))).letters
+              for v in result.gamma.vertices for s in (1, -1)}
+    parents = []  # (image, follow mask) of the elements shorter than max_len
+    for w, parent, last in _ball(result.gamma, "group", max_len):
+        image, follow = parents[parent] if w else ((), -1)  # -1: every letter
+        tail = tau_of.get(last, ())
+        for i in map(index.get, tail):
+            if not follow >> i & 1:
+                image, follow = GroupElement._inserted(result.omega, image, tail).letters, -1
+                for j in map(index.get, image):
+                    follow = keep[j] | follow & up[j]
+                break
+            follow = keep[i] | follow & up[i]
+        else:
+            image += tail
+        if len(w) < max_len:
+            parents.append((image, follow))
+        yield w, image
+
+
 def verify_tau_injective(result, max_len):
     """Check well-definedness on the defining relations and injectivity on
-    the ball of canonical elements of length <= max_len.
-
-    Each image is its parent's with tau of the last letter inserted, since
-    tau(w l) = tau(w) tau(l). Images are hashed: a collision of images is
-    exactly a pair of distinct elements the morphism identifies.
-    """
+    the ball of canonical elements of length <= max_len. Images come from
+    ``_tau_images`` and are hashed: a collision of images is exactly a pair
+    of distinct elements the morphism identifies."""
     if max_len < 1:
         raise ValueError("max_len must be a positive integer")
-    gamma, omega = result.gamma, result.omega
+    gamma = result.gamma
     failures = [
         (a, b)
         for a, b in gamma.edges()
         if not group_commute(result.tau[a], result.tau[b])
     ]
-
-    alphabet = [(v, s) for v in gamma.vertices for s in (1, -1)]
-    tau_of = {l: result.apply_tau(Word(gamma, (l,))).letters for l in alphabet}
-    ball = canonical_elements(gamma, "group", max_len)
-    images = {(): ()}  # element letters -> canonical image letters
-    seen = {}
+    seen = {}  # image letters -> the first element letters with that image
     collisions = []
-    for element in ball:
-        w = element.letters
-        if w:
-            images[w] = GroupElement._inserted(omega, images[w[:-1]], tau_of[w[-1]]).letters
-        img = images[w]
-        if img in seen:
-            collisions.append((seen[img], element))
-        else:
-            seen[img] = element
+    for w, image in _tau_images(result, max_len):
+        first = seen.setdefault(image, w)
+        if first is not w:
+            collisions.append((GroupElement(gamma, first), GroupElement(gamma, w)))
     return TauInjectivityReport(
         bound=max_len,
-        element_count=len(ball),
+        element_count=len(seen) + len(collisions),
         morphism_failures=tuple(failures),
         collisions=tuple(collisions),
     )

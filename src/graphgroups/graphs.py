@@ -94,11 +94,11 @@ class Graph:
 
     def non_adjacent_pairs(self):
         """Sorted unordered pairs of distinct non-adjacent vertices."""
-        return tuple(
+        return tuple([
             (u, v)
             for u, v in itertools.combinations(self.vertices, 2)
             if v not in self._adj[u]
-        )
+        ])
 
     def __eq__(self, other):
         if self is other:

@@ -12,7 +12,7 @@ The lexicographic normal form is computed by one backward-scan stack
 insertion, ``_insert``, shared with the group machinery (signed letters order
 by base, positive before negative; on signed letters it also cancels inverse
 pairs). For positive words it gives the canonical representative underlying
-``trace_normal_form``.
+``trace_normal_form``. ``_follow_table`` reads it as a bitmask automaton.
 """
 
 from __future__ import annotations
@@ -139,11 +139,11 @@ def _coordinates(word, vertices, pairs, signed=False):
     letters = word.letters
     for x in vertices:
         yield sum(1 for b, _ in letters if b == x)
-    for x, y in pairs:
+    for x, y in pairs:  # tuple(generator) would resize, filling CPython's tuple free lists
         if signed:
-            yield tuple(l for l in letters if l[0] == x or l[0] == y)
+            yield tuple([l for l in letters if l[0] == x or l[0] == y])
         else:
-            yield tuple(b for b, _ in letters if b == x or b == y)
+            yield tuple([b for b, _ in letters if b == x or b == y])
 
 
 def project_rho(word, x):
@@ -227,6 +227,22 @@ def _insert(graph, stack, letters, origins=None):
             stack.insert(at, letter)
             if origins is not None:
                 origins.insert(at, None)
+
+
+def _follow_table(graph):
+    """``_insert`` as an automaton: the signed letters in ``word_key`` order,
+    their indices, and per letter l the masks keep[l] and up[l]. follow(w),
+    the letters that inserting into w's stack appends, is every letter for
+    the empty word and keep[l] | follow(w) & up[l] for w l: a scan stops at l
+    for l and for bases other than l's and not adjacent to it, and goes past
+    l for the adjacent bases greater than l's."""
+    letters = [(v, s) for v in graph.vertices for s in (1, -1)]  # vertices are sorted
+    index = {letter: i for i, letter in enumerate(letters)}
+    bases = lambda vs: sum(3 << index[(v, 1)] for v in vs)  # both signs of each
+    keep = [1 << i | bases(v for v in graph.vertices if v != b and v not in graph.neighbors(b))
+            for i, (b, _) in enumerate(letters)]
+    up = [bases(v for v in graph.neighbors(b) if v > b) for b, _ in letters]
+    return letters, index, keep, up
 
 
 def lex_normal_letters(graph, letters):

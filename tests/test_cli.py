@@ -276,6 +276,12 @@ class TestConcealCommands:
         code, _, err = run(capsys, ["conceal", "build", files["l3"]])
         assert code == 2
         assert "not eligible" in err
+        assert err.startswith(f"error: {files['l3']}: graph is not eligible")
+
+    def test_verify_rejects_ineligible_naming_the_file(self, files, capsys):
+        code, out, err = run(capsys, ["conceal", "verify", files["l3"], "--max-len", "2"])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {files['l3']}: graph is not eligible for concealment: ")
 
     def test_verify(self, files, capsys):
         code, out, _ = run(

@@ -12,7 +12,8 @@ from graphgroups import (
     phi_search,
     standard_graph,
 )
-from graphgroups.commgraph import _commute_masks, commutes_along
+from graphgroups.commgraph import _ball, _commute_masks, commutes_along
+from graphgroups.trace import _follow_table
 from oracles import (
     all_graphs_up_to,
     all_graphs_up_to_iso,
@@ -92,6 +93,26 @@ class TestCanonicalElements:
         pool = canonical_elements(g, mode, max_len)
         assert [e.letters for e in pool] == raw_word_ball(g, mode, max_len)
         assert all(type(e) is (Word if mode == "monoid" else GroupElement) for e in pool)
+
+    @pytest.mark.parametrize(
+        "name", ["C4", "L3", "cycle(5)", "path(5)", "E(2,2)", "complete(4)", "E(3,0)", "cycle(6)"]
+    )
+    @pytest.mark.parametrize("mode, max_len", [("monoid", 4), ("group", 3)])
+    def test_follow_masks_match_insertion(self, name, mode, max_len):
+        # Bit l of follow(w), stepped along w from every letter, is set
+        # exactly when inserting l into w's stack appends it; and the ball
+        # lists each element as its parent and last letter.
+        g = standard_graph(name)
+        letters, index, keep, up = _follow_table(g)
+        ball = list(_ball(g, mode, max_len))
+        for w, parent, last in ball:
+            assert w == (ball[parent][0] + (last,) if w else ())
+            follow = -1
+            for i in map(index.get, w):
+                follow = keep[i] | follow & up[i]
+            for i, l in enumerate(letters):
+                appended = GroupElement._inserted(g, w, (l,)).letters == w + (l,)
+                assert bool(follow >> i & 1) == appended
 
     @pytest.mark.parametrize("mode", ["monoid", "group"])
     def test_radius_zero_is_the_identity(self, mode):

@@ -1,5 +1,3 @@
-from unittest import mock
-
 import pytest
 
 import graphgroups.conceal as conceal_module
@@ -19,7 +17,7 @@ from graphgroups import (
     verify_no_embedding,
     verify_tau_injective,
 )
-from oracles import all_graphs_up_to, is_isomorphic
+from oracles import all_graphs_up_to, all_graphs_up_to_iso, is_isomorphic
 
 
 def three_isolated():
@@ -164,24 +162,22 @@ class TestTauFailures:
         assert not report.passed
 
     def test_images_from_parents_match_direct_images(self):
-        # verify_tau_injective inserts tau of the last letter into the
-        # parent's image; the direct image reduces all of tau(w) at once.
-        for gamma in all_graphs_up_to(5):
-            if not eligible(gamma):
-                continue
-            result = build_concealment(gamma)
-            images = []
-
-            def record(graph, prefix, letters):
-                image = GroupElement._inserted(graph, prefix, letters)
-                images.append(image.letters)
-                return image
-
-            with mock.patch.object(conceal_module, "GroupElement", mock.Mock(_inserted=record)):
-                verify_tau_injective(result, 3)
-            ball = canonical_elements(gamma, "group", 3)[1:]  # the identity maps to ()
-            direct = [GroupElement(result.omega, result.apply_tau(w.word()).letters) for w in ball]
-            assert images == [image.letters for image in direct]
+        # _tau_images appends tau of the last letter to the parent's image
+        # with mask steps, or inserts it; the direct image reduces all of
+        # tau(w) at once. Every eligible graph on <= 5 vertices at radius 3,
+        # the 95 on 6 vertices at radius 2, and those on <= 4 at radius 4:
+        # a stale mask after an insertion first shows at radius 4.
+        cases = ((all_graphs_up_to(5), 3), (all_graphs_up_to_iso(6), 2), (all_graphs_up_to(4), 4))
+        for graphs, max_len in cases:
+            for gamma in filter(eligible, graphs):
+                result = build_concealment(gamma)
+                pairs = list(conceal_module._tau_images(result, max_len))
+                ball = canonical_elements(gamma, "group", max_len)
+                assert [w for w, _ in pairs] == [e.letters for e in ball]
+                direct = [result.apply_tau(e.word()).letters for e in ball]
+                assert [image for _, image in pairs] == [
+                    GroupElement(result.omega, image).letters for image in direct
+                ]
 
 
 class TestPhiWitness:

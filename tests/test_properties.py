@@ -23,6 +23,7 @@ from graphgroups import (  # noqa: E402
     trace_normal_form,
 )
 from graphgroups import commgraph  # noqa: E402
+from graphgroups.trace import _follow_table  # noqa: E402
 from oracles import (  # noqa: E402
     commute,
     greedy_lex_normal_letters,
@@ -151,6 +152,17 @@ def balls(draw):
     return graph, mode, draw(st.integers(0, 4 if mode == "monoid" else 3))
 
 
+@st.composite
+def normal_forms(draw):
+    """A graph on at most five vertices and the normal form of a word of at
+    most twelve letters over it, positive or signed."""
+    graph = graphs(draw, 5)
+    alphabet = letters(graph) if draw(st.booleans()) else st.tuples(
+        st.sampled_from(graph.vertices), st.just(1)
+    )
+    return graph, GroupElement(graph, draw(st.lists(alphabet, max_size=12))).letters
+
+
 @SETTINGS
 @given(powers())
 def test_primitive_root_of_a_power(case):
@@ -271,3 +283,17 @@ def test_canonical_elements_match_raw_word_oracle(case):
     graph, mode, max_len = case
     pool = commgraph.canonical_elements(graph, mode, max_len)
     assert [e.letters for e in pool] == raw_word_ball(graph, mode, max_len)
+
+
+@SETTINGS
+@given(normal_forms())
+def test_follow_mask_matches_insertion(case):
+    # The automaton's mask after w holds exactly the letters that inserting
+    # into w's stack appends.
+    graph, w = case
+    alphabet, index, keep, up = _follow_table(graph)
+    follow = -1
+    for i in map(index.get, w):
+        follow = keep[i] | follow & up[i]
+    for i, l in enumerate(alphabet):
+        assert bool(follow >> i & 1) == (GroupElement._inserted(graph, w, (l,)).letters == w + (l,))
