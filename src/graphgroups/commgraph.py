@@ -11,8 +11,8 @@ carries. Candidates come from ``_ball``: one automaton step per element.
 
 from __future__ import annotations
 
+import collections
 import itertools
-from dataclasses import dataclass
 
 from .graphs import Graph
 from .raag import GroupElement, group_commute, group_reduce
@@ -20,6 +20,7 @@ from .trace import (
     Word,
     _coordinates,
     _follow_table,
+    _insert,
     iter_trace_prefixes,
     lex_normal_letters,
     trace_commute,
@@ -30,15 +31,12 @@ from .trace import (
 MODES = ("monoid", "group")
 
 
-@dataclass(frozen=True)
-class ElementFamily:
+class ElementFamily(collections.namedtuple("ElementFamily", "ambient mode members")):
     """An ordered family of canonical elements (duplicates permitted)."""
 
-    ambient: Graph
-    mode: str
-    members: tuple
+    __slots__ = ()
 
-    def __init__(self, ambient, mode, members):
+    def __new__(cls, ambient, mode, members):
         if mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
         canonical = []
@@ -53,9 +51,7 @@ class ElementFamily:
             canonical.append(
                 trace_normal_form(m) if mode == "monoid" else group_reduce(m)
             )
-        object.__setattr__(self, "ambient", ambient)
-        object.__setattr__(self, "mode", mode)
-        object.__setattr__(self, "members", tuple(canonical))
+        return super().__new__(cls, ambient, mode, tuple(canonical))
 
 
 def _commute(mode, a, b):
@@ -106,21 +102,20 @@ def canonical_elements(ambient, mode, max_len):
     return [GroupElement._inserted(ambient, w, ()) for w, _, _ in _ball(ambient, mode, max_len)]
 
 
-@dataclass(frozen=True)
-class RealizationReport:
+class RealizationReport(
+    collections.namedtuple("RealizationReport", "target status witness bound candidates")
+):
     """Outcome of a bounded realizability search.
 
     ``status`` is ``"found"`` with a verified witness assignment, or
     ``"exhausted"``: no assignment of elements of canonical length <= bound
-    realizes the target. ``candidates`` counts assignment attempts examined;
-    without ``strict`` only one element per commutation class is tried.
+    realizes the target. ``candidates`` counts the assignments tried, one
+    vertex at a time; forward checking abandons one as soon as it leaves a
+    later vertex without candidates, and without ``strict`` only one element
+    per commutation class is tried.
     """
 
-    target: Graph
-    status: str
-    witness: dict | None
-    bound: int
-    candidates: int
+    __slots__ = ()
 
     @property
     def found(self):
@@ -176,7 +171,9 @@ def _commute_masks(mode, pool):
     Per non-adjacent pair, element i keeps the members whose projection is
     trivial or has the key of its own (``_projection_key``); in the monoid
     that is the commutation test itself. Group projections are not
-    faithful, so the exact ``group_commute`` then checks the pairs left.
+    faithful, so the pairs left are checked exactly: u v = v u when
+    inserting v's letters after u's (``_insert``) gives the stack that
+    inserting u's after v's gives, both factors being normal forms.
     """
     if not pool:
         return []
@@ -193,9 +190,13 @@ def _commute_masks(mode, pool):
             if key is not None:
                 masks[i] &= classes.get(None, 0) | classes[key]
     if mode == "group":
-        for i in range(len(pool)):
+        for i, u in enumerate(pool):
             for j in _iter_bits(masks[i] & ~((2 << i) - 1)):  # members after i
-                if not group_commute(pool[i], pool[j]):
+                v = pool[j].letters
+                uv, vu = list(u.letters), list(v)
+                _insert(graph, uv, v)
+                _insert(graph, vu, u.letters)
+                if uv != vu:
                     masks[i] ^= 1 << j
                     masks[j] ^= 1 << i
     return masks
@@ -213,8 +214,11 @@ def phi_search(target, ambient, mode, max_len, strict=False):
 
     Candidates are all distinct canonical elements of the ambient monoid or
     group with length <= max_len; target vertices are assigned in canonical
-    order, pruning against the precomputed pairwise commutation pattern.
-    ``strict`` requires pairwise-distinct elements (the subset reading); the
+    order, each from a domain bitmask that forward checking (Haralick and
+    Elliott) keeps: assigning c ANDs every later domain with c's commutation
+    mask, or its complement where the target pair is not an edge, and the
+    search backtracks as soon as a domain is empty. ``strict`` requires
+    pairwise-distinct elements (the subset reading), so it also clears c; the
     default allows repeats, and then tries only the least element of each
     commutation class (elements commuting with exactly the same elements),
     which finds the same first witness. A found witness is re-verified on
@@ -237,33 +241,33 @@ def phi_search(target, ambient, mode, max_len, strict=False):
     least = {m: i for i, m in reversed(list(enumerate(masks)))}
     start = full if strict else sum(1 << i for i in least.values())
     want_edge = [
-        [target.adjacent(tverts[i], tverts[j]) for j in range(n)] for i in range(n)
+        [target.adjacent(tverts[i], tverts[j]) for j in range(i + 1, n)] for i in range(n)
     ]
-
-    def allowed_for(level, assign):
-        allowed = start
-        for j, a in enumerate(assign):
-            allowed &= masks[a] if want_edge[level][j] else full ^ masks[a]
-        if strict:
-            for a in assign:
-                allowed &= full ^ (1 << a)
-        return allowed
-
     examined = 0
 
-    def dfs(assign):
-        """Extend assign to all n vertices in place; False when it cannot."""
+    def dfs(assign, domains):
+        """Extend assign to all n vertices in place, domains[k] holding the
+        candidates left for vertex len(assign) + k; False when it cannot."""
         nonlocal examined
-        for c in _iter_bits(allowed_for(len(assign), assign)):
+        edges, rest = want_edge[len(assign)], domains[1:]
+        for c in _iter_bits(domains[0]):
             examined += 1
             assign.append(c)
-            if len(assign) == n or dfs(assign):
+            if not rest:
+                return True
+            near, far = masks[c], ~masks[c]
+            if strict:
+                near ^= 1 << c  # c commutes with itself
+            later = [d & (near if e else far) for d, e in zip(rest, edges)]
+            if all(later) and dfs(assign, later):
                 return True
             assign.pop()
         return False
 
     found = []
-    if not dfs(found):
+    searched = dfs(found, [start] * n)
+    del dfs  # the closure refers to itself: a cycle holding the masks
+    if not searched:
         return RealizationReport(target, "exhausted", None, max_len, examined)
     assignment = [pool[c] for c in found]
     if not commutes_along(target, mode, assignment):

@@ -16,7 +16,7 @@ reports state the bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import collections
 
 from .commgraph import ElementFamily, _ball
 from .graphs import Graph, find_embedding, format_graph
@@ -24,10 +24,8 @@ from .raag import GroupElement, group_commute
 from .trace import Word, _follow_table
 
 
-@dataclass(frozen=True)
-class EligibilityReport:
-    eligible: bool
-    diagnostics: tuple
+class EligibilityReport(collections.namedtuple("EligibilityReport", "eligible diagnostics")):
+    __slots__ = ()
 
     def __bool__(self):
         return self.eligible
@@ -58,19 +56,14 @@ def eligible(graph):
     return EligibilityReport(bool(small) and not (deg_nm2 and deg_nm3), tuple(diagnostics))
 
 
-@dataclass(frozen=True)
-class ConcealmentResult:
+class ConcealmentResult(
+    collections.namedtuple("ConcealmentResult", "gamma omega e f g e0 e1 tau")
+):
     """The built concealment: the original graph, the one-vertex-larger
-    graph, the chosen vertices and the generator substitution."""
+    graph, the chosen vertices and the generator substitution (tau maps each
+    gamma vertex to a positive Word over omega)."""
 
-    gamma: Graph
-    omega: Graph
-    e: str
-    f: str
-    g: str
-    e0: str
-    e1: str
-    tau: dict  # gamma vertex -> positive Word over omega
+    __slots__ = ()
 
     def apply_tau(self, word):
         """Image of a signed word over gamma under the substitution."""
@@ -149,8 +142,11 @@ def verify_no_embedding(result):
     return find_embedding(result.gamma, result.omega) is None
 
 
-@dataclass(frozen=True)
-class TauInjectivityReport:
+class TauInjectivityReport(
+    collections.namedtuple(
+        "TauInjectivityReport", "bound element_count morphism_failures collisions"
+    )
+):
     """Bounded-ball verification of the induced morphism.
 
     ``morphism_failures`` lists edges of the original graph whose generator
@@ -159,10 +155,7 @@ class TauInjectivityReport:
     the ball of radius ``bound``.
     """
 
-    bound: int
-    element_count: int
-    morphism_failures: tuple
-    collisions: tuple
+    __slots__ = ()
 
     @property
     def passed(self):

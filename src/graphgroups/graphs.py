@@ -36,7 +36,7 @@ class Graph:
     treats every vertex as adjacent to itself.
     """
 
-    __slots__ = ("vertices", "_edges", "_adj")
+    __slots__ = ("vertices", "_edges", "_adj", "_non_adjacent")
 
     def __init__(self, vertices, edges=()):
         verts = tuple(sorted(vertices))
@@ -59,6 +59,9 @@ class Graph:
         self.vertices = verts
         self._edges = frozenset(eset)
         self._adj = {v: frozenset(ns) for v, ns in adj.items()}
+        self._non_adjacent = tuple([
+            (u, v) for u, v in itertools.combinations(verts, 2) if v not in adj[u]
+        ])
 
     # -- basic queries -------------------------------------------------
 
@@ -94,11 +97,7 @@ class Graph:
 
     def non_adjacent_pairs(self):
         """Sorted unordered pairs of distinct non-adjacent vertices."""
-        return tuple([
-            (u, v)
-            for u, v in itertools.combinations(self.vertices, 2)
-            if v not in self._adj[u]
-        ])
+        return self._non_adjacent
 
     def __eq__(self, other):
         if self is other:
@@ -261,7 +260,9 @@ def find_embedding(pattern, host):
                 used.remove(hvert)
         return False
 
-    return dict(mapping) if extend(0) else None
+    found = extend(0)
+    del extend  # the closure refers to itself: a cycle holding both graphs
+    return dict(mapping) if found else None
 
 
 def clique_number(g):
@@ -280,6 +281,7 @@ def clique_number(g):
             extend([u for u in candidates[i + 1 :] if u in g.neighbors(v)], size + 1)
 
     extend(order, 0)
+    del extend  # the closure refers to itself: a cycle holding g
     return best
 
 

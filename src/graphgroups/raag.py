@@ -26,8 +26,8 @@ totally with the cyclic reduction, the exponents of k1 read off projections
 
 from __future__ import annotations
 
+import collections
 import functools
-from dataclasses import dataclass
 
 from .graphs import co_components, induced
 from .trace import Word, _insert, check_letters, iter_trace_prefixes
@@ -187,13 +187,11 @@ def multiply_factorize(u, v):
 # -- cyclic reduction ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CyclicDecomposition:
+class CyclicDecomposition(collections.namedtuple("CyclicDecomposition", "p h")):
     """g = p * h * p^-1 as a reduced product, h shortest in its conjugacy
     class; h is unique for the element."""
 
-    p: GroupElement
-    h: GroupElement
+    __slots__ = ()
 
     def element(self):
         return self.p * self.h * self.p.inverse()
@@ -224,12 +222,12 @@ def cyclic_reduce(g):
 # -- pure factors --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PureFactorization:
+class PureFactorization(collections.namedtuple("PureFactorization", "factors")):
     """Primitive commuting pieces of a cyclically reduced element, one per
-    co-component of its support subgraph, with positive exponents."""
+    co-component of its support subgraph, with positive exponents (factors
+    is a tuple of (GroupElement, int) pairs)."""
 
-    factors: tuple  # of (GroupElement, int) pairs
+    __slots__ = ()
 
     def reconstruct(self, graph):
         result = GroupElement.identity(graph)
@@ -274,25 +272,22 @@ def pure_factors(h):
 # -- centralizer witnesses ------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CentralizerWitness:
+class CentralizerWitness(collections.namedtuple("CentralizerWitness", "p exponents k2")):
     """k = p * (product of factor_i ** exponent_i) * k2 * p^-1 with every
     support vertex of k2 adjacent to every support vertex of h."""
 
-    p: GroupElement
-    exponents: tuple
-    k2: GroupElement
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class CentralizerOutcome:
+class CentralizerOutcome(
+    collections.namedtuple(
+        "CentralizerOutcome", "status witness decomposition factorization"
+    )
+):
     """``status`` is ``"witness"`` (k commutes with g, and ``witness`` holds
     its decomposition) or ``"proved-non-commuting"``."""
 
-    status: str
-    witness: CentralizerWitness | None
-    decomposition: CyclicDecomposition
-    factorization: PureFactorization
+    __slots__ = ()
 
     @property
     def found(self):

@@ -374,9 +374,9 @@ GOLDEN = (
     (['monoid', 'root', '--graph', '{c4}', 'a c a c a c'], 0, 'root = a c\nexponent = 3\n'),
     (['monoid', 'product-embed', '--graph', '{c4}', 'a c a', 'b'], 0, 'rank1 = 4\nrank2 = 2\nrho a\nrho b\nrho c\nrho d\nsigma a c\nsigma b d\ncoords a c a: rho(a)=2 rho(b)=0 rho(c)=1 rho(d)=0 sigma(a,c)=a.c.a sigma(b,d)=-\ncoords b: rho(a)=0 rho(b)=1 rho(c)=0 rho(d)=0 sigma(a,c)=- sigma(b,d)=b\n'),
     (['monoid', 'comm-rank', '--graph', '{c4}'], 0, '2\n'),
-    (['search', 'phi', '--target', '{c4}', '--ambient', '{c4}', '--mode', 'group', '--max-len', '1'], 0, 'status=found bound=1\nwitness a=a\nwitness b=b\nwitness c=c\nwitness d=d\ncandidates=13\n'),
+    (['search', 'phi', '--target', '{c4}', '--ambient', '{c4}', '--mode', 'group', '--max-len', '1'], 0, 'status=found bound=1\nwitness a=a\nwitness b=b\nwitness c=c\nwitness d=d\ncandidates=7\n'),
     (['search', 'phi', '--target', '{c4}', '--ambient', '{c4}', '--mode', 'monoid', '--max-len', '1', '--strict', '--format', 'records'], 0, 'status=found\nbound=1\nwitness a=a\nwitness b=b\nwitness c=c\nwitness d=d\n'),
-    (['search', 'phi', '--target', '{c4}', '--ambient', '{e30}', '--mode', 'group', '--max-len', '1', '--jobs', '2'], 1, 'status=exhausted bound=1\ncandidates=20\n'),
+    (['search', 'phi', '--target', '{c4}', '--ambient', '{e30}', '--mode', 'group', '--max-len', '1', '--jobs', '2'], 1, 'status=exhausted bound=1\ncandidates=10\n'),
     (['conceal', 'check', '{c4}'], 1, 'ineligible\n# no vertex of degree <= 1 (degrees: a=2 b=2 c=2 d=2)\n'),
     (['conceal', 'build', '{c4}'], 2, ''),
     (['conceal', 'verify', '{c4}'], 2, ''),

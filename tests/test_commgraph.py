@@ -211,6 +211,13 @@ class TestStrictMode:
         values = [e.letters for e in report.witness.values()]
         assert len(set(values)) == len(values)
 
+    def test_strict_refuses_the_repeats_default_takes(self):
+        # Three pairwise-commuting elements over one vertex at length 1: the
+        # identity and the letter, repeated, do; two distinct ones do not.
+        target, ambient = standard_graph("complete(3)"), Graph(["x"])
+        assert phi_search(target, ambient, "monoid", 1).found
+        assert phi_search(target, ambient, "monoid", 1, strict=True).status == "exhausted"
+
     def test_strict_and_default_agree_on_square_target(self):
         target = standard_graph("C4")
         for ambient in all_graphs_up_to(4):
@@ -259,9 +266,10 @@ class TestCommuteMasks:
         assert _commute_masks("group", pool) == [0b01, 0b10]
 
 
-def reference_search(target, pool, masks):
-    """Depth-first search over the whole pool, repeats allowed: the first
-    witness as pool indices (None when exhausted) and the candidates tried."""
+def reference_search(target, pool, masks, strict=False):
+    """Depth-first search over the whole pool, with no look-ahead, repeats
+    allowed unless ``strict``: the first witness as pool indices (None when
+    exhausted) and the candidates tried."""
     verts = target.vertices
     edge = [[target.adjacent(u, v) for v in verts] for u in verts]
     full = (1 << len(pool)) - 1
@@ -272,6 +280,8 @@ def reference_search(target, pool, masks):
         allowed = full
         for j, a in enumerate(assign):
             allowed &= masks[a] if edge[len(assign)][j] else full ^ masks[a]
+            if strict:
+                allowed &= full ^ (1 << a)
         while allowed:
             c = (allowed & -allowed).bit_length() - 1
             allowed &= allowed - 1
@@ -287,19 +297,21 @@ def reference_search(target, pool, masks):
 
 
 class TestClassRepresentatives:
-    """The default search tries one element per commutation class and must
-    still report the first witness of the search over the whole pool."""
+    """The default search tries one element per commutation class, and both
+    modes check forward; each must still report the first witness of the
+    plain search over the whole pool, having tried no more candidates."""
 
     def check(self, targets, ambient, mode, max_len):
         pool = canonical_elements(ambient, mode, max_len)
         masks = pairwise_commute_masks(mode, pool)
         for target in targets:
-            found, examined = reference_search(target, pool, masks)
-            report = phi_search(target, ambient, mode, max_len)
-            assert report.found == (found is not None)
-            if found is not None:
-                assert report.witness == {v: pool[c] for v, c in zip(target.vertices, found)}
-            assert report.candidates <= examined
+            for strict in (False, True):
+                found, examined = reference_search(target, pool, masks, strict)
+                report = phi_search(target, ambient, mode, max_len, strict=strict)
+                assert report.found == (found is not None)
+                if found is not None:
+                    assert report.witness == {v: pool[c] for v, c in zip(target.vertices, found)}
+                assert report.candidates <= examined
 
     def test_targets_into_cycle5(self):
         targets = [t for n in (3, 4, 5) for t in all_graphs_up_to_iso(n)]

@@ -1,4 +1,6 @@
+import gc
 import itertools
+import weakref
 
 import pytest
 
@@ -15,6 +17,7 @@ from graphgroups import (
     resolve_name_collisions,
     standard_graph,
 )
+from graphgroups.graphs import clique_number
 from oracles import all_graphs_up_to, brute_force_embedding_exists, is_isomorphic
 
 
@@ -214,6 +217,33 @@ class TestFindEmbedding:
         ]
         for p, h in cases:
             assert (find_embedding(p, h) is not None) == brute_force_embedding_exists(p, h)
+
+
+class WeakGraph(Graph):
+    """A graph that takes weak references (``Graph`` has slots only)."""
+
+
+@pytest.mark.parametrize(
+    "search",
+    [
+        lambda host: find_embedding(standard_graph("C4"), host),
+        lambda host: find_embedding(standard_graph("complete(3)"), host),
+        clique_number,
+    ],
+    ids=["embedding-found", "embedding-none", "clique-number"],
+)
+def test_backtracking_leaves_no_reference_cycle(search):
+    # With the cyclic collector off, the host goes as soon as its last
+    # reference does: the search's recursive step holds no cycle over it.
+    host = WeakGraph(C4().vertices, C4().edges())
+    freed = weakref.ref(host)
+    gc.disable()
+    try:
+        search(host)
+        del host
+        assert freed() is None
+    finally:
+        gc.enable()
 
 
 class TestTextFormat:
