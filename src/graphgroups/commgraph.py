@@ -14,7 +14,7 @@ from __future__ import annotations
 import collections
 import itertools
 
-from .graphs import Graph
+from .graphs import Graph, _forward_check, _iter_bits
 from .raag import GroupElement, group_commute, group_reduce
 from .trace import (
     Word,
@@ -202,23 +202,17 @@ def _commute_masks(mode, pool):
     return masks
 
 
-def _iter_bits(mask):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def phi_search(target, ambient, mode, max_len, strict=False):
     """Bounded search for a family realizing the target commutation graph.
 
     Candidates are all distinct canonical elements of the ambient monoid or
     group with length <= max_len; target vertices are assigned in canonical
-    order, each from a domain bitmask that forward checking (Haralick and
-    Elliott) keeps: assigning c ANDs every later domain with c's commutation
-    mask, or its complement where the target pair is not an edge, and the
-    search backtracks as soon as a domain is empty. ``strict`` requires
-    pairwise-distinct elements (the subset reading), so it also clears c; the
+    order by the forward-checking search that ``find_embedding`` also runs
+    (``graphs._forward_check``): assigning c narrows every later vertex's
+    domain bitmask to c's commutation mask, or its complement where the
+    target pair is not an edge, and the search backtracks as soon as a
+    domain is empty. ``strict`` requires pairwise-distinct elements (the
+    subset reading), so the search is injective and also clears c; the
     default allows repeats, and then tries only the least element of each
     commutation class (elements commuting with exactly the same elements),
     which finds the same first witness. A found witness is re-verified on
@@ -243,31 +237,8 @@ def phi_search(target, ambient, mode, max_len, strict=False):
     want_edge = [
         [target.adjacent(tverts[i], tverts[j]) for j in range(i + 1, n)] for i in range(n)
     ]
-    examined = 0
-
-    def dfs(assign, domains):
-        """Extend assign to all n vertices in place, domains[k] holding the
-        candidates left for vertex len(assign) + k; False when it cannot."""
-        nonlocal examined
-        edges, rest = want_edge[len(assign)], domains[1:]
-        for c in _iter_bits(domains[0]):
-            examined += 1
-            assign.append(c)
-            if not rest:
-                return True
-            near, far = masks[c], ~masks[c]
-            if strict:
-                near ^= 1 << c  # c commutes with itself
-            later = [d & (near if e else far) for d, e in zip(rest, edges)]
-            if all(later) and dfs(assign, later):
-                return True
-            assign.pop()
-        return False
-
-    found = []
-    searched = dfs(found, [start] * n)
-    del dfs  # the closure refers to itself: a cycle holding the masks
-    if not searched:
+    found, examined = _forward_check(want_edge, masks, [start] * n, strict)
+    if found is None:
         return RealizationReport(target, "exhausted", None, max_len, examined)
     assignment = [pool[c] for c in found]
     if not commutes_along(target, mode, assignment):

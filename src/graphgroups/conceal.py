@@ -138,7 +138,8 @@ def build_concealment(graph):
 
 def verify_no_embedding(result):
     """True when the original graph has no induced embedding into the built
-    graph (exhaustive backtracking)."""
+    graph (``find_embedding``: a complete forward-checking search over
+    neighbourhood bitmasks)."""
     return find_embedding(result.gamma, result.omega) is None
 
 

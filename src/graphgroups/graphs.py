@@ -223,6 +223,48 @@ def induced(g, subset):
     return Graph(sub, [e for e in g.edges() if e[0] in sub and e[1] in sub])
 
 
+# -- forward-checking search ------------------------------------------
+
+
+def _iter_bits(mask):
+    """Indices of the set bits of a non-negative integer, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _forward_check(want_edge, masks, domains, strict):
+    """Depth-first search for candidates c_k in the bitmasks domains[k],
+    such that for i < j, c_j is in masks[c_i] (which holds c_i) exactly when
+    want_edge[i][j - i - 1]. Forward checking (Haralick and Elliott):
+    assigning c ANDs every later domain with masks[c], or its complement
+    where no edge is wanted, and backtracks as soon as one is empty;
+    ``strict`` also clears c, so the assignment is injective. The least
+    assignment, lowest candidates first, comes back as a list, or None,
+    with the number of candidates tried. ``domains`` may be a suffix of the
+    variables: want_edge rows are read from the end.
+    """
+    if not domains:
+        return [], 0
+    edges, rest = want_edge[-len(domains)], domains[1:]
+    examined = 0
+    for c in _iter_bits(domains[0]):
+        examined += 1
+        if not rest:
+            return [c], examined
+        near, far = masks[c], ~masks[c]
+        if strict:
+            near ^= 1 << c
+        later = [d & (near if e else far) for d, e in zip(rest, edges)]
+        if all(later):
+            found, tried = _forward_check(want_edge, masks, later, strict)
+            examined += tried
+            if found is not None:
+                return [c] + found, examined
+    return None, examined
+
+
 # -- induced-subgraph embedding ---------------------------------------
 
 
@@ -230,39 +272,29 @@ def find_embedding(pattern, host):
     """Search for an injection of pattern into host preserving adjacency
     and non-adjacency (an induced-subgraph isomorphism witness).
 
-    Returns a dict mapping pattern vertices to host vertices, or None after
-    exhaustive backtracking. Pattern vertices are assigned in decreasing
-    degree order with degree-based forward pruning; exponential worst case,
-    intended for small graphs.
+    Returns a dict mapping pattern vertices to host vertices, or None when
+    none exists. Pattern vertices are assigned in decreasing degree order,
+    host vertices tried in their order, by the injective forward-checking
+    search (``_forward_check``) over host closed-neighbourhood bitmasks:
+    each pattern vertex starts from the host vertices of at least its
+    degree, and every assignment narrows the later vertices to the host
+    vertices adjacent, or non-adjacent, to the one chosen. Exponential worst
+    case, intended for small graphs.
     """
-    pverts = sorted(pattern.vertices, key=lambda v: (-pattern.degree(v), v))
-    if len(pverts) > len(host.vertices):
+    pnear = {p: pattern.neighbors(p) for p in pattern.vertices}
+    pverts = sorted(pnear, key=lambda v: (-len(pnear[v]), v))
+    hverts = host.vertices
+    if len(pverts) > len(hverts):
         return None
-    mapping = {}
-    used = set()
-
-    def extend(i):
-        if i == len(pverts):
-            return True
-        p = pverts[i]
-        for hvert in host.vertices:
-            if hvert in used or host.degree(hvert) < pattern.degree(p):
-                continue
-            if all(
-                pattern.adjacent(p, q) == host.adjacent(hvert, mapping[q])
-                for q in pverts[:i]
-            ):
-                mapping[p] = hvert
-                used.add(hvert)
-                if extend(i + 1):
-                    return True
-                del mapping[p]
-                used.remove(hvert)
-        return False
-
-    found = extend(0)
-    del extend  # the closure refers to itself: a cycle holding both graphs
-    return dict(mapping) if found else None
+    index = {h: i for i, h in enumerate(hverts)}
+    near = [host.neighbors(h) for h in hverts]
+    masks = [sum(1 << index[u] for u in ns) | 1 << i for i, ns in enumerate(near)]
+    domains = [
+        sum(1 << i for i, ns in enumerate(near) if len(ns) >= len(pnear[p])) for p in pverts
+    ]
+    want_edge = [[q in pnear[p] for q in pverts[i + 1 :]] for i, p in enumerate(pverts)]
+    found, _ = _forward_check(want_edge, masks, domains, True)
+    return None if found is None else {p: hverts[c] for p, c in zip(pverts, found)}
 
 
 def clique_number(g):

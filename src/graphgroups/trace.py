@@ -18,7 +18,6 @@ pairs). For positive words it gives the canonical representative underlying
 from __future__ import annotations
 
 import collections
-import itertools
 import math
 import operator
 
@@ -360,13 +359,3 @@ def embed_into_product(graph):
 def max_free_commutative_rank(graph):
     """Largest rank of a free commutative submonoid: the clique number."""
     return clique_number(graph)
-
-
-# -- enumeration helper -------------------------------------------------
-
-
-def all_words(graph, max_len):
-    """Every positive word of length <= max_len, in product order."""
-    for length in range(max_len + 1):
-        for combo in itertools.product(graph.vertices, repeat=length):
-            yield Word(graph, tuple((b, 1) for b in combo))

@@ -1,7 +1,9 @@
 """Independent oracles used by the tests.
 
 Everything here deliberately avoids the library's production code paths:
-graph enumeration by edge-mask orbits, embedding by scanning all injections,
+graph enumeration by edge-mask orbits, embedding by scanning all injections
+(and the first embedding by plain backtracking in ``find_embedding``'s
+order, checking adjacency by name), positive words by plain products,
 clique number by scanning all subsets, geodesic length, word equivalence
 and primitive roots by breadth-first closure over the elementary rewriting
 moves (swap adjacent commuting letters, cancel an adjacent inverse pair),
@@ -14,7 +16,7 @@ every pair (no projection keys).
 
 import itertools
 
-from graphgroups import Graph, group_commute, trace_commute
+from graphgroups import Graph, Word, group_commute, trace_commute
 
 
 def all_graphs_up_to_iso(n):
@@ -75,6 +77,35 @@ def brute_force_embedding_exists(pattern, host):
     return False
 
 
+def ordered_backtracking_embedding(pattern, host):
+    """The first induced embedding in the order of ``find_embedding``, or
+    None: pattern vertices by decreasing degree then name, each tried on
+    the host vertices in order, skipping used ones and those of smaller
+    degree, and checked by name against every earlier assignment."""
+    pverts = sorted(pattern.vertices, key=lambda v: (-pattern.degree(v), v))
+    if len(pverts) > len(host.vertices):
+        return None
+    mapping = {}
+
+    def extend(i):
+        if i == len(pverts):
+            return True
+        p = pverts[i]
+        for h in host.vertices:
+            if h in mapping.values() or host.degree(h) < pattern.degree(p):
+                continue
+            if all(
+                pattern.adjacent(p, q) == host.adjacent(h, mapping[q]) for q in pverts[:i]
+            ):
+                mapping[p] = h
+                if extend(i + 1):
+                    return True
+                del mapping[p]
+        return False
+
+    return dict(mapping) if extend(0) else None
+
+
 def brute_force_clique_number(g):
     """Largest complete subset, by scanning all vertex subsets."""
     best = 0
@@ -83,6 +114,13 @@ def brute_force_clique_number(g):
             if all(g.adjacent(u, v) for u, v in itertools.combinations(subset, 2)):
                 return size
     return best
+
+
+def all_words(graph, max_len):
+    """Every positive word of length <= max_len, in product order."""
+    for length in range(max_len + 1):
+        for combo in itertools.product(graph.vertices, repeat=length):
+            yield Word(graph, tuple((b, 1) for b in combo))
 
 
 def signed_alphabet(graph):

@@ -18,7 +18,12 @@ from graphgroups import (
     standard_graph,
 )
 from graphgroups.graphs import clique_number
-from oracles import all_graphs_up_to, brute_force_embedding_exists, is_isomorphic
+from oracles import (
+    all_graphs_up_to,
+    brute_force_embedding_exists,
+    is_isomorphic,
+    ordered_backtracking_embedding,
+)
 
 
 def C4():
@@ -206,6 +211,32 @@ class TestFindEmbedding:
         for p in patterns:
             for h in hosts:
                 assert (find_embedding(p, h) is not None) == brute_force_embedding_exists(p, h)
+
+    def test_triangle_not_into_path_of_three(self):
+        # Only the middle vertex has degree two, so all three corners would
+        # land on it: the chosen host vertex must leave the domains of later
+        # pattern neighbours. (An edge into two isolated vertices would not
+        # show this: no host vertex there has the degree.)
+        assert find_embedding(standard_graph("complete(3)"), standard_graph("path(3)")) is None
+
+    def test_non_edge_not_into_one_edge(self):
+        # Both ends would have to land on one vertex: the non-neighbour
+        # domains exclude the chosen host vertex itself.
+        assert find_embedding(standard_graph("E(2,0)"), standard_graph("complete(2)")) is None
+
+    def test_same_first_embedding_as_ordered_backtracking(self):
+        # Forward checking prunes only branches without an embedding, so the
+        # first embedding found is the one plain ordered backtracking finds.
+        hosts = all_graphs_up_to(6)
+        for p in all_graphs_up_to(4):
+            for h in hosts:
+                found = find_embedding(p, h)
+                assert found == ordered_backtracking_embedding(p, h)
+                if found is not None:
+                    assert sorted(found) == list(p.vertices)
+                    assert len(set(found.values())) == len(p)
+                    for u, v in itertools.combinations(p.vertices, 2):
+                        assert p.adjacent(u, v) == h.adjacent(found[u], found[v])
 
     def test_oracle_equivalence_spot_checks_on_larger_hosts(self):
         cases = [

@@ -16,9 +16,9 @@ from graphgroups import (
     trace_equal,
     trace_normal_form,
 )
-from graphgroups.trace import all_words
 from oracles import (
     all_graphs_up_to,
+    all_words,
     brute_force_clique_number,
     brute_force_primitive_root,
     greedy_lex_normal_letters,
