@@ -25,7 +25,6 @@ from .trace import (
     lex_normal_letters,
     trace_commute,
     trace_normal_form,
-    word_key,
 )
 
 MODES = ("monoid", "group")
@@ -132,8 +131,9 @@ class RealizationReport(
 def commutes_along(target, mode, members):
     """Whether members i, j commute exactly when target vertices i, j are adjacent."""
     verts = target.vertices
+    near = [target.neighbors(v) for v in verts]
     return all(
-        _commute(mode, members[i], members[j]) == target.adjacent(verts[i], verts[j])
+        _commute(mode, members[i], members[j]) == (verts[j] in near[i])
         for i, j in itertools.combinations(range(len(verts)), 2)
     )
 
@@ -161,7 +161,7 @@ def _projection_key(mode, graph, letters):
         i += 1
     root = _free_root(letters[i : n - i])
     inverse = tuple((b, -s) for b, s in reversed(root))
-    return letters[:i], min(root, inverse, key=word_key)
+    return letters[:i], min(root, inverse)  # keys are only compared for equality
 
 
 def _commute_masks(mode, pool):
@@ -234,9 +234,8 @@ def phi_search(target, ambient, mode, max_len, strict=False):
     full = (1 << len(pool)) - 1
     least = {m: i for i, m in reversed(list(enumerate(masks)))}
     start = full if strict else sum(1 << i for i in least.values())
-    want_edge = [
-        [target.adjacent(tverts[i], tverts[j]) for j in range(i + 1, n)] for i in range(n)
-    ]
+    near = [target.neighbors(v) for v in tverts]
+    want_edge = [[v in near[i] for v in tverts[i + 1 :]] for i in range(n)]
     found, examined = _forward_check(want_edge, masks, [start] * n, strict)
     if found is None:
         return RealizationReport(target, "exhausted", None, max_len, examined)

@@ -19,7 +19,7 @@ from __future__ import annotations
 import collections
 
 from .commgraph import ElementFamily, _ball
-from .graphs import Graph, find_embedding, format_graph
+from .graphs import Graph, _fresh_name, find_embedding, format_graph
 from .raag import GroupElement, group_commute
 from .trace import Word, _follow_table
 
@@ -39,12 +39,13 @@ def eligible(graph):
     the blocking vertices otherwise.
     """
     n = len(graph)
-    small = [v for v in graph.vertices if graph.degree(v) <= n - 3]
-    deg_nm2 = [v for v in graph.vertices if graph.degree(v) == n - 2]
-    deg_nm3 = [v for v in graph.vertices if graph.degree(v) == n - 3]
+    degree = {v: graph.degree(v) for v in graph.vertices}
+    small = [v for v, d in degree.items() if d <= n - 3]
+    deg_nm2 = [v for v, d in degree.items() if d == n - 2]
+    deg_nm3 = [v for v, d in degree.items() if d == n - 3]
     diagnostics = []
     if not small:
-        degrees = " ".join(f"{v}={graph.degree(v)}" for v in graph.vertices)
+        degrees = " ".join(f"{v}={d}" for v, d in degree.items())
         diagnostics.append(
             f"no vertex of degree <= {n - 3} (degrees: {degrees or 'none'})"
         )
@@ -83,13 +84,6 @@ class ConcealmentResult(
         return "\n".join(lines) + "\n"
 
 
-def _fresh_name(base, taken):
-    name = base
-    while name in taken:
-        name += "_"
-    return name
-
-
 def build_concealment(graph):
     """Construct the concealment of an eligible graph.
 
@@ -104,12 +98,10 @@ def build_concealment(graph):
             "graph is not eligible for concealment: " + "; ".join(report.diagnostics)
         )
     n = len(graph)
-    small = [v for v in graph.vertices if graph.degree(v) <= n - 3]
-    e = sorted(small, key=lambda v: (-graph.degree(v), v))[0]
-    non_neighbours = [
-        v for v in graph.vertices if v != e and v not in graph.neighbors(e)
-    ]
-    f, g = non_neighbours[0], non_neighbours[1]
+    degree = {v: graph.degree(v) for v in graph.vertices}
+    e = min((v for v, d in degree.items() if d <= n - 3), key=lambda v: (-degree[v], v))
+    near = graph.neighbors(e)
+    f, g = [v for v in graph.vertices if v != e and v not in near][:2]
 
     taken = set(graph.vertices)
     e0 = _fresh_name(e + "_0", taken)
@@ -118,7 +110,7 @@ def build_concealment(graph):
 
     kept = [v for v in graph.vertices if v != e]
     edges = [edge for edge in graph.edges() if e not in edge]
-    for a in sorted(graph.neighbors(e)):
+    for a in sorted(near):
         edges.append((e0, a))
         edges.append((e1, a))
     edges.append((e0, f))

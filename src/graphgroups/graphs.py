@@ -155,6 +155,14 @@ def complement(g):
     return Graph(g.vertices, g.non_adjacent_pairs())
 
 
+def _fresh_name(base, taken):
+    """base, with underscores appended until it is not in taken."""
+    name = base
+    while name in taken:
+        name += "_"
+    return name
+
+
 def resolve_name_collisions(g, h):
     """Rename h's vertices away from g's, suffixing with underscores.
 
@@ -165,13 +173,8 @@ def resolve_name_collisions(g, h):
     renaming = {}
     for v in h.vertices:
         if v in taken:
-            new = v + "_2"
-            while new in taken or new in h:
-                new += "_"
-            renaming[v] = new
-            taken.add(new)
-        else:
-            taken.add(v)
+            renaming[v] = _fresh_name(v + "_2", taken.union(h.vertices))
+        taken.add(renaming.get(v, v))
     if not renaming:
         return h, {}
     sub = lambda v: renaming.get(v, v)
@@ -205,10 +208,9 @@ def co_components(g):
         frontier = [start]
         while frontier:
             v = frontier.pop()
-            for u in remaining - block:
-                if u not in g.neighbors(v):
-                    block.add(u)
-                    frontier.append(u)
+            for u in remaining - block - g.neighbors(v):
+                block.add(u)
+                frontier.append(u)
         remaining -= block
         blocks.append(tuple(sorted(block)))
     return tuple(sorted(blocks))
@@ -299,7 +301,8 @@ def find_embedding(pattern, host):
 
 def clique_number(g):
     """Size of the largest complete induced subgraph (backtracking search)."""
-    order = sorted(g.vertices, key=lambda v: (-g.degree(v), v))
+    near = {v: g.neighbors(v) for v in g.vertices}
+    order = sorted(near, key=lambda v: (-len(near[v]), v))
     best = 0
 
     def extend(candidates, size):
@@ -310,7 +313,7 @@ def clique_number(g):
             best = max(best, size)
             return
         for i, v in enumerate(candidates):
-            extend([u for u in candidates[i + 1 :] if u in g.neighbors(v)], size + 1)
+            extend([u for u in candidates[i + 1 :] if u in near[v]], size + 1)
 
     extend(order, 0)
     del extend  # the closure refers to itself: a cycle holding g

@@ -56,25 +56,25 @@ def _cancel(graph, u_letters, v_letters):
 class GroupElement:
     """A group element in canonical reduced form.
 
-    The constructor checks any letter sequence against the graph and
-    canonicalizes it in one stack insertion, which reduces and sorts at once.
-    Products, powers and inverses insert only the letters of the right factor
-    after the left one's canonical letters, and check nothing again. Equality
-    and hashing compare the ambient graph and the canonical word.
+    The constructor checks letters from outside as ``Word``'s does
+    (``trace.check_letters``) and canonicalizes them in one stack insertion,
+    which reduces and sorts at once. Rebuilds from letters an element or a
+    ``Word`` holds, products and powers included, use ``_inserted`` and
+    check nothing again. Equality and hashing compare graph and word.
     """
 
     __slots__ = ("graph", "letters")
 
     def __init__(self, graph, letters=()):
         stack = []
-        _insert(graph, stack, check_letters(graph, tuple(letters)))
+        _insert(graph, stack, check_letters(graph, letters))
         self.graph = graph
         self.letters = tuple(stack)
 
     @classmethod
     def _inserted(cls, graph, prefix, letters):
         """The element prefix * letters, for prefix a normal form (which an
-        insertion into an empty stack would rebuild) and valid letters."""
+        insertion into an empty stack would rebuild) and checked letters."""
         stack = list(prefix)
         _insert(graph, stack, letters)
         element = object.__new__(cls)
@@ -84,7 +84,7 @@ class GroupElement:
 
     @classmethod
     def identity(cls, graph):
-        return cls(graph)
+        return cls._inserted(graph, (), ())
 
     @property
     def length(self):
@@ -140,7 +140,7 @@ def group_reduce(x):
     if isinstance(x, GroupElement):
         return x
     if isinstance(x, Word):
-        return GroupElement(x.graph, x.letters)
+        return GroupElement._inserted(x.graph, (), x.letters)
     raise TypeError(f"expected Word or GroupElement, got {type(x).__name__}")
 
 
@@ -157,12 +157,10 @@ def support(g):
 
 def commutes_totally(u, v):
     """Every support vertex of u is adjacent (or equal) to every support
-    vertex of v."""
+    vertex of v: supp(v) - {x} lies in N(x) for each x in supp(u)."""
     u, v = group_reduce(u), group_reduce(v)
-    graph = u.graph
-    return all(
-        graph.adjacent(x, y) for x in u.support() for y in v.support()
-    )
+    theirs = v.support()
+    return all(theirs - {x} <= u.graph.neighbors(x) for x in u.support())
 
 
 def group_commute(u, v):
@@ -178,10 +176,8 @@ def multiply_factorize(u, v):
     u, v = group_reduce(u), group_reduce(v)
     if u.graph != v.graph:
         raise ValueError("elements over different ambient graphs")
-    graph = u.graph
-    return tuple(
-        GroupElement(graph, part) for part in _cancel(graph, u.letters, v.letters)
-    )
+    parts = _cancel(u.graph, u.letters, v.letters)
+    return tuple(GroupElement._inserted(u.graph, (), part) for part in parts)
 
 
 # -- cyclic reduction ----------------------------------------------------
@@ -214,8 +210,8 @@ def cyclic_reduce(g):
     graph = g.graph
     kept, cancelled, _ = _cancel(graph, g.letters, g.letters)
     return CyclicDecomposition(
-        p=GroupElement(graph, tuple((b, -s) for b, s in reversed(cancelled))),
-        h=GroupElement(graph, cancelled + kept),
+        p=GroupElement._inserted(graph, (), tuple((b, -s) for b, s in reversed(cancelled))),
+        h=GroupElement._inserted(graph, (), cancelled + kept),
     )
 
 
@@ -244,7 +240,7 @@ def _group_primitive_root(element):
     word (signed letters acting as monoid letters): one candidate per k.
     """
     for root, k in iter_trace_prefixes(element.letters):
-        candidate = GroupElement(element.graph, root)
+        candidate = GroupElement._inserted(element.graph, (), root)
         if candidate**k == element:
             return candidate, k
     return element, 1
@@ -261,9 +257,7 @@ def pure_factors(h):
     factors = []
     for block in blocks:
         members = set(block)
-        piece = GroupElement(
-            graph, tuple(l for l in h.letters if l[0] in members)
-        )
+        piece = GroupElement._inserted(graph, (), tuple(l for l in h.letters if l[0] in members))
         root, exponent = _group_primitive_root(piece)
         factors.append((root, exponent))
     return PureFactorization(tuple(factors))
@@ -340,7 +334,8 @@ def centralizer_witness(g, k):
         block = root.support()
         c = 0
         if len(block) > 1:
-            projection = GroupElement(graph, tuple(l for l in q.letters if l[0] in block))
+            letters = tuple(l for l in q.letters if l[0] in block)
+            projection = GroupElement._inserted(graph, (), letters)
             c = projection.length // root.length
             expected = root**c
             if expected != projection:

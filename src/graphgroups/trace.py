@@ -24,10 +24,6 @@ import operator
 from .graphs import clique_number
 
 
-def word_key(letters):
-    return tuple((b, s < 0) for b, s in letters)
-
-
 def _str_letter(letter):
     """The letter with a string base; one that has it is kept, not copied."""
     base, sign = letter
@@ -35,8 +31,10 @@ def _str_letter(letter):
 
 
 def check_letters(graph, letters):
-    """The letters, once every base is a vertex of graph and every sign is
-    +1 or -1."""
+    """Letters from outside as a tuple of ``(str, sign)`` tuples, once every
+    base is a vertex of graph and every sign is +1 or -1; ``Word`` and
+    ``GroupElement`` both check here (``[1, 1]`` becomes ``("1", 1)``)."""
+    letters = tuple(map(_str_letter, letters))
     for base, sign in letters:
         if base not in graph:
             raise ValueError(f"unknown vertex {base!r}")
@@ -49,16 +47,16 @@ class Word:
     """An immutable sequence of signed letters over an ambient graph.
 
     A letter is a ``(base, sign)`` pair with sign +1 or -1; monoid operations
-    require every sign to be +1. Equality and hashing are literal (same graph,
-    same letter sequence); semantic equality lives in ``trace_equal`` and the
-    group module.
+    require every sign to be +1. Letters are checked by ``check_letters``.
+    Equality and hashing are literal (same graph, same letter sequence);
+    semantic equality lives in ``trace_equal`` and the group module.
     """
 
     __slots__ = ("graph", "letters")
 
     def __init__(self, graph, letters=()):
         self.graph = graph
-        self.letters = check_letters(graph, tuple(map(_str_letter, letters)))
+        self.letters = check_letters(graph, letters)
 
     @classmethod
     def parse(cls, graph, text):
@@ -215,7 +213,7 @@ def _insert(graph, stack, letters, origins=None):
                 break
             if b2 not in neighbors:
                 break
-            if b2 > base:  # the bases differ, so this is word_key order
+            if b2 > base:  # the bases differ, so this is the letter order
                 at = j
             j -= 1
         if at is None:
@@ -229,18 +227,22 @@ def _insert(graph, stack, letters, origins=None):
 
 
 def _follow_table(graph):
-    """``_insert`` as an automaton: the signed letters in ``word_key`` order,
-    their indices, and per letter l the masks keep[l] and up[l]. follow(w),
-    the letters that inserting into w's stack appends, is every letter for
-    the empty word and keep[l] | follow(w) & up[l] for w l: a scan stops at l
-    for l and for bases other than l's and not adjacent to it, and goes past
-    l for the adjacent bases greater than l's."""
+    """``_insert`` as an automaton: the signed letters in order (by base,
+    positive first), their indices, and per letter l the masks keep[l] and
+    up[l]. follow(w), the letters that inserting into w's stack appends, is
+    every letter for the empty word and keep[l] | follow(w) & up[l] for w l:
+    a scan stops at l for l and for bases other than l's and not adjacent to
+    it, and goes past l for the adjacent bases greater than l's. Each base's
+    neighbourhood is read once."""
     letters = [(v, s) for v in graph.vertices for s in (1, -1)]  # vertices are sorted
     index = {letter: i for i, letter in enumerate(letters)}
-    bases = lambda vs: sum(3 << index[(v, 1)] for v in vs)  # both signs of each
-    keep = [1 << i | bases(v for v in graph.vertices if v != b and v not in graph.neighbors(b))
-            for i, (b, _) in enumerate(letters)]
-    up = [bases(v for v in graph.neighbors(b) if v > b) for b, _ in letters]
+    keep, up = [], []
+    for b in graph.vertices:
+        i = index[(b, 1)]
+        near = sum(3 << index[(v, 1)] for v in graph.neighbors(b))  # both signs of each
+        apart = ((1 << len(letters)) - 1) & ~near & ~(3 << i)
+        keep += [1 << i | apart, 2 << i | apart]
+        up += [near >> i + 2 << i + 2] * 2  # the adjacent bases above b
     return letters, index, keep, up
 
 

@@ -116,6 +116,28 @@ def brute_force_clique_number(g):
     return best
 
 
+def follow_table_by_pairs(graph):
+    """``trace._follow_table`` by its definition, one ``adjacent`` query per
+    (letter, vertex) pair: the letters by base, positive first; keep[l] holds
+    l and both letters of every base not adjacent to l's, and up[l] both
+    letters of every base adjacent to l's and greater than it."""
+    letters = [(v, s) for v in graph.vertices for s in (1, -1)]
+    index = {letter: i for i, letter in enumerate(letters)}
+
+    def both_signs(bases):
+        return sum(1 << index[(v, s)] for v in bases for s in (1, -1))
+
+    keep = [
+        1 << index[l] | both_signs(v for v in graph.vertices if not graph.adjacent(l[0], v))
+        for l in letters
+    ]
+    up = [
+        both_signs(v for v in graph.vertices if v > b and graph.adjacent(b, v))
+        for b, _ in letters
+    ]
+    return letters, index, keep, up
+
+
 def all_words(graph, max_len):
     """Every positive word of length <= max_len, in product order."""
     for length in range(max_len + 1):

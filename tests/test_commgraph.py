@@ -18,6 +18,7 @@ from oracles import (
     all_graphs_up_to,
     all_graphs_up_to_iso,
     cayley_ball_by_rewriting,
+    follow_table_by_pairs,
     pairwise_commute_masks,
     raw_word_ball,
 )
@@ -113,6 +114,10 @@ class TestCanonicalElements:
             for i, l in enumerate(letters):
                 appended = GroupElement._inserted(g, w, (l,)).letters == w + (l,)
                 assert bool(follow >> i & 1) == appended
+
+    def test_follow_table_matches_pairwise_construction(self):
+        for g in all_graphs_up_to(6):
+            assert _follow_table(g) == follow_table_by_pairs(g)
 
     @pytest.mark.parametrize("mode", ["monoid", "group"])
     def test_radius_zero_is_the_identity(self, mode):

@@ -85,6 +85,7 @@ class TestBuild:
         assert result.e0 not in g.vertices
         assert result.e1 not in g.vertices
         assert result.e0 != result.e1
+        assert (result.e0, result.e1) == ("e_0_", "e_1")
 
 
 class TestVerification:

@@ -135,6 +135,9 @@ class TestConnectedProduct:
         prod = connected_product(g, g)
         assert len(prod) == 4
         assert prod.edge_count == 2 + 4
+        g = Graph(["a", "a_2"], [("a", "a_2")])
+        _, renaming = resolve_name_collisions(g, g)
+        assert renaming == {"a": "a_2_", "a_2": "a_2_2"}
 
 
 class TestCoComponents:

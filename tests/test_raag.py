@@ -92,6 +92,13 @@ class TestGroupReduce:
         assert e.is_identity
         assert e.length == 0
 
+    def test_list_letters_give_their_tuple_twin(self):
+        g = standard_graph("C4")
+        x, twin = GroupElement(g, [["v1", 1]]), GroupElement(g, [("v1", 1)])
+        assert x == twin
+        assert hash(x) == hash(twin)
+        assert centralizer_witness(x, x).found
+
     def test_geodesic_lengths_match_bfs_oracle_small(self):
         g = C4()
         alphabet = signed_alphabet(g)
@@ -196,6 +203,14 @@ class TestSupportAndTotalCommutation:
         for text in ("", "a", "a c", "a b c d"):
             assert commutes_totally(el(g, text), el(g, ""))
             assert commutes_totally(el(g, ""), el(g, text))
+
+    @pytest.mark.parametrize("name", ["C4", "path(4)", "E(2,2)"])
+    def test_matches_pairwise_adjacency_on_radius_two_balls(self, name):
+        g = standard_graph(name)
+        elements = ball(g, 2)
+        for u, v in itertools.product(elements, repeat=2):
+            pairwise = all(g.adjacent(x, y) for x in u.support() for y in v.support())
+            assert commutes_totally(u, v) == pairwise
 
 
 class TestMultiplyFactorize:

@@ -80,7 +80,11 @@ class TestWord:
         g = Graph(["1", "2"], [])
         given = [("1", 1), ("2", -1)]
         assert all(a is b for a, b in zip(Word(g, given).letters, given))
-        assert Word(g, [[1, 1], (2, -1)]).letters == (("1", 1), ("2", -1))
+
+    @pytest.mark.parametrize("constructor", [Word, GroupElement])
+    def test_letters_coerced_to_string_based_tuples(self, constructor):
+        g = Graph(["1", "2"], [])
+        assert constructor(g, [[1, 1], (2, -1)]).letters == (("1", 1), ("2", -1))
 
 
 class TestProjections:
