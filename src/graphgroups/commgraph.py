@@ -14,7 +14,7 @@ from __future__ import annotations
 import collections
 import itertools
 
-from .graphs import Graph, _forward_check, _iter_bits
+from .graphs import Graph, _closed_masks, _forward_check, _iter_bits
 from .raag import GroupElement, group_commute, group_reduce
 from .trace import (
     Word,
@@ -166,14 +166,18 @@ def _projection_key(mode, graph, letters):
 
 def _commute_masks(mode, pool):
     """Per-candidate bitmask of the pool members it commutes with (every
-    element commutes with itself).
+    element commutes with itself), in three steps.
 
-    Per non-adjacent pair, element i keeps the members whose projection is
-    trivial or has the key of its own (``_projection_key``); in the monoid
-    that is the commutation test itself. Group projections are not
-    faithful, so the pairs left are checked exactly: u v = v u when
-    inserting v's letters after u's (``_insert``) gives the stack that
-    inserting u's after v's gives, both factors being normal forms.
+    1. Keys: per non-adjacent pair, element i keeps the members whose
+       projection is trivial or has the key of its own (``_projection_key``).
+       In the monoid that is the commutation test itself.
+    2. Total commutation (group): v commutes with u when supp(v) lies in the
+       AND of the closed neighbourhoods over supp(u): ``raag.commutes_totally``
+       on bitmasks, the link factor of Servatius' centralizer theorem.
+    3. Exact test (group): projections are not faithful, so the pairs left
+       are checked exactly: u v = v u when inserting v's letters after u's
+       (``_insert``) gives the stack that inserting u's after v's gives,
+       both factors being normal forms.
     """
     if not pool:
         return []
@@ -190,15 +194,26 @@ def _commute_masks(mode, pool):
             if key is not None:
                 masks[i] &= classes.get(None, 0) | classes[key]
     if mode == "group":
-        for i, u in enumerate(pool):
-            for j in _iter_bits(masks[i] & ~((2 << i) - 1)):  # members after i
-                v = pool[j].letters
-                uv, vu = list(u.letters), list(v)
-                _insert(graph, uv, v)
-                _insert(graph, vu, u.letters)
-                if uv != vu:
-                    masks[i] ^= 1 << j
-                    masks[j] ^= 1 << i
+        closed, bit = _closed_masks(graph), {v: 1 << k for k, v in enumerate(graph.vertices)}
+        supports, total = {}, {}  # support -> its members; link -> members inside it
+        for i, s in enumerate(sum({bit[b] for b, _ in e.letters}) for e in pool):
+            supports[s] = supports.get(s, 0) | 1 << i
+        for s, members in supports.items():
+            link = -1  # every vertex: the identity's link
+            for x in _iter_bits(s):
+                link &= closed[x]
+            if link not in total:
+                total[link] = sum(m for t, m in supports.items() if not t & ~link)
+            for i in _iter_bits(members):
+                u = pool[i].letters
+                for j in _iter_bits(masks[i] & ~total[link] & ~((2 << i) - 1)):  # after i
+                    v = pool[j].letters
+                    uv, vu = list(u), list(v)
+                    _insert(graph, uv, v)
+                    _insert(graph, vu, u)
+                    if uv != vu:
+                        masks[i] ^= 1 << j
+                        masks[j] ^= 1 << i
     return masks
 
 

@@ -267,6 +267,13 @@ def _forward_check(want_edge, masks, domains, strict):
     return None, examined
 
 
+def _closed_masks(graph):
+    """Bitmask over ``graph.vertices`` of each vertex's closed neighbourhood,
+    in vertex order; each neighbourhood is read once."""
+    bit = {v: 1 << i for i, v in enumerate(graph.vertices)}
+    return [sum(bit[u] for u in graph.neighbors(v)) | bit[v] for v in graph.vertices]
+
+
 # -- induced-subgraph embedding ---------------------------------------
 
 
@@ -288,11 +295,9 @@ def find_embedding(pattern, host):
     hverts = host.vertices
     if len(pverts) > len(hverts):
         return None
-    index = {h: i for i, h in enumerate(hverts)}
-    near = [host.neighbors(h) for h in hverts]
-    masks = [sum(1 << index[u] for u in ns) | 1 << i for i, ns in enumerate(near)]
+    masks = _closed_masks(host)
     domains = [
-        sum(1 << i for i, ns in enumerate(near) if len(ns) >= len(pnear[p])) for p in pverts
+        sum(1 << i for i, m in enumerate(masks) if m.bit_count() > len(pnear[p])) for p in pverts
     ]
     want_edge = [[q in pnear[p] for q in pverts[i + 1 :]] for i, p in enumerate(pverts)]
     found, _ = _forward_check(want_edge, masks, domains, True)

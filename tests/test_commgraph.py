@@ -1,3 +1,6 @@
+import itertools
+from unittest import mock
+
 import pytest
 
 from graphgroups import (
@@ -12,6 +15,7 @@ from graphgroups import (
     phi_search,
     standard_graph,
 )
+from graphgroups import commgraph
 from graphgroups.commgraph import _ball, _commute_masks, commutes_along
 from graphgroups.trace import _follow_table
 from oracles import (
@@ -19,6 +23,7 @@ from oracles import (
     all_graphs_up_to_iso,
     cayley_ball_by_rewriting,
     follow_table_by_pairs,
+    free_reduce,
     pairwise_commute_masks,
     raw_word_ball,
 )
@@ -269,6 +274,42 @@ class TestCommuteMasks:
         g = Graph(["x", "y", "z"], [("y", "z")])
         pool = [group_reduce(Word.parse(g, w)) for w in ("x y x' z x y' x' z'", "x")]
         assert _commute_masks("group", pool) == [0b01, 0b10]
+
+    @pytest.mark.parametrize("max_len", [1, 2])
+    def test_group_masks_match_pairwise_tests_on_small_graphs(self, max_len):
+        # Every graph on at most five vertices: every ambient of the search
+        # workload, each up to isomorphism.
+        for graph in all_graphs_up_to(5):
+            pool = canonical_elements(graph, "group", max_len)
+            assert _commute_masks("group", pool) == pairwise_commute_masks("group", pool)
+
+    def test_totally_commuting_pairs_skip_the_exact_test(self):
+        pool = canonical_elements(standard_graph("complete(3)"), "group", 2)
+        with mock.patch.object(commgraph, "_insert", wraps=commgraph._insert) as exact:
+            masks = _commute_masks("group", pool)
+        assert masks == [(1 << len(pool)) - 1] * len(pool)
+        assert exact.call_count == 0
+
+    def test_exact_test_runs_on_the_pairs_keys_and_supports_leave(self):
+        # The keys leave the pairs whose projections commute in each rank-2
+        # free group; of those, the exact test (two insertions) runs on the
+        # pairs with a support vertex of one not adjacent to one of the other.
+        graph = standard_graph("path(3)")
+        pool = canonical_elements(graph, "group", 2)
+        with mock.patch.object(commgraph, "_insert", wraps=commgraph._insert) as exact:
+            _commute_masks("group", pool)
+
+        def projections_commute(u, v, x, y):
+            p, q = (tuple(l for l in e.letters if l[0] in (x, y)) for e in (u, v))
+            return free_reduce(p + q) == free_reduce(q + p)
+
+        left = 0
+        for u, v in itertools.combinations(pool, 2):
+            keys_agree = all(projections_commute(u, v, x, y) for x, y in graph.non_adjacent_pairs())
+            total = all(graph.adjacent(x, y) for x, _ in u.letters for y, _ in v.letters)
+            left += keys_agree and not total
+        assert left > 0
+        assert exact.call_count == 2 * left
 
 
 def reference_search(target, pool, masks, strict=False):
