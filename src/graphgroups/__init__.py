@@ -69,55 +69,10 @@ from .trace import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CentralizerOutcome",
-    "CentralizerWitness",
-    "ConcealmentResult",
-    "CyclicDecomposition",
-    "ElementFamily",
-    "EligibilityReport",
-    "Graph",
-    "GroupElement",
-    "ParseError",
-    "ProductEmbeddingTable",
-    "PureFactorization",
-    "RealizationReport",
-    "TauInjectivityReport",
-    "Word",
-    "build_concealment",
-    "canonical_elements",
-    "centralizer_witness",
-    "clique_number",
-    "co_components",
-    "commutation_graph",
-    "commutes_totally",
-    "complement",
-    "connected_product",
-    "cyclic_reduce",
-    "eligible",
-    "embed_into_product",
-    "find_embedding",
-    "format_graph",
-    "group_commute",
-    "group_equal",
-    "group_reduce",
-    "induced",
-    "is_cyclically_reduced",
-    "max_free_commutative_rank",
-    "monoid_phi_witness",
-    "multiply_factorize",
-    "parse_graph",
-    "phi_search",
-    "primitive_root",
-    "project_rho",
-    "project_sigma",
-    "pure_factors",
-    "resolve_name_collisions",
-    "standard_graph",
-    "support",
-    "trace_commute",
-    "trace_equal",
-    "trace_normal_form",
-    "verify_no_embedding",
-    "verify_tau_injective",
-]
+# The names imported above from the package's modules; the modules
+# themselves have no __module__, so `import *` binds none of them.
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if getattr(value, "__module__", "").startswith("graphgroups.")
+)

@@ -20,7 +20,6 @@ from .trace import (
     Word,
     _coordinates,
     _follow_table,
-    _insert,
     iter_trace_prefixes,
     lex_normal_letters,
     trace_commute,
@@ -175,9 +174,7 @@ def _commute_masks(mode, pool):
        AND of the closed neighbourhoods over supp(u): ``raag.commutes_totally``
        on bitmasks, the link factor of Servatius' centralizer theorem.
     3. Exact test (group): projections are not faithful, so the pairs left
-       are checked exactly: u v = v u when inserting v's letters after u's
-       (``_insert``) gives the stack that inserting u's after v's gives,
-       both factors being normal forms.
+       are checked exactly by ``raag.group_commute`` (two stack insertions).
     """
     if not pool:
         return []
@@ -205,13 +202,8 @@ def _commute_masks(mode, pool):
             if link not in total:
                 total[link] = sum(m for t, m in supports.items() if not t & ~link)
             for i in _iter_bits(members):
-                u = pool[i].letters
                 for j in _iter_bits(masks[i] & ~total[link] & ~((2 << i) - 1)):  # after i
-                    v = pool[j].letters
-                    uv, vu = list(u), list(v)
-                    _insert(graph, uv, v)
-                    _insert(graph, vu, u)
-                    if uv != vu:
+                    if not group_commute(pool[i], pool[j]):
                         masks[i] ^= 1 << j
                         masks[j] ^= 1 << i
     return masks

@@ -305,24 +305,12 @@ def find_embedding(pattern, host):
 
 
 def clique_number(g):
-    """Size of the largest complete induced subgraph (backtracking search)."""
-    near = {v: g.neighbors(v) for v in g.vertices}
-    order = sorted(near, key=lambda v: (-len(near[v]), v))
-    best = 0
-
-    def extend(candidates, size):
-        nonlocal best
-        if size + len(candidates) <= best:
-            return
-        if not candidates:
-            best = max(best, size)
-            return
-        for i, v in enumerate(candidates):
-            extend([u for u in candidates[i + 1 :] if u in near[v]], size + 1)
-
-    extend(order, 0)
-    del extend  # the closure refers to itself: a cycle holding g
-    return best
+    """Size of the largest complete induced subgraph: the largest k for
+    which ``find_embedding`` places complete(k) in g."""
+    for k in range(len(g)):
+        if find_embedding(standard_graph(f"complete({k + 1})"), g) is None:
+            return k
+    return len(g)
 
 
 # -- text format -------------------------------------------------------

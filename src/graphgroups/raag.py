@@ -164,8 +164,17 @@ def commutes_totally(u, v):
 
 
 def group_commute(u, v):
+    """Whether u v = v u, by two stack insertions (``_insert``): v's letters
+    after u's normal form, and u's after v's. Each stack is then the normal
+    form of its product, so the products are equal exactly when the stacks
+    are."""
     u, v = group_reduce(u), group_reduce(v)
-    return group_equal(u * v, v * u)
+    if u.graph != v.graph:
+        raise ValueError("elements over different ambient graphs")
+    uv, vu = list(u.letters), list(v.letters)
+    _insert(u.graph, uv, v.letters)
+    _insert(u.graph, vu, u.letters)
+    return uv == vu
 
 
 # -- reduced product factorization --------------------------------------

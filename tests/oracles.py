@@ -10,13 +10,14 @@ moves (swap adjacent commuting letters, cancel an adjacent inverse pair),
 cyclic reduction by peeling one conjugating letter pair at a time, the
 lexicographic normal form by the greedy extraction of the least movable letter
 (alone, or after an append-only reduction), balls by reducing every raw word
-of bounded length, and commutation masks by the exact commutation test of
-every pair (no projection keys).
+of bounded length, group commutation by append-reducing the commutator, and
+commutation masks by testing every pair (no projection keys): group pairs by
+their commutator, monoid pairs by ``trace_commute``.
 """
 
 import itertools
 
-from graphgroups import Graph, Word, group_commute, trace_commute
+from graphgroups import Graph, Word, trace_commute
 
 
 def all_graphs_up_to_iso(n):
@@ -212,11 +213,10 @@ def greedy_lex_normal_letters(graph, letters):
     return tuple(out)
 
 
-def two_pass_reduce(graph, letters):
-    """Canonical reduced word in two passes: append-only stack insertion
-    (each letter scans backward past letters it commutes with, and cancels
-    on meeting its inverse, otherwise it is appended), then the greedy
-    normal form."""
+def append_reduce(graph, letters):
+    """A reduced word for the element the letters spell, by append-only
+    stack insertion: each letter scans backward past letters it commutes
+    with, and cancels on meeting its inverse, otherwise it is appended."""
     stack = []
     for letter in letters:
         j = len(stack) - 1
@@ -226,7 +226,21 @@ def two_pass_reduce(graph, letters):
             del stack[j]
         else:
             stack.append(letter)
-    return greedy_lex_normal_letters(graph, stack)
+    return stack
+
+
+def two_pass_reduce(graph, letters):
+    """Canonical reduced word in two passes: ``append_reduce``, then the
+    greedy normal form."""
+    return greedy_lex_normal_letters(graph, append_reduce(graph, letters))
+
+
+def commutator_trivial(u, v):
+    """Whether group elements u and v commute: the commutator u v u^-1 v^-1
+    of their letters append-reduces to the empty word."""
+    inverse = lambda w: [(b, -s) for b, s in reversed(w)]
+    letters = [*u.letters, *v.letters, *inverse(u.letters), *inverse(v.letters)]
+    return not append_reduce(u.graph, letters)
 
 
 def peel_cyclic_reduce(graph, letters):
@@ -312,8 +326,9 @@ def raw_word_ball(graph, mode, max_len):
 
 def pairwise_commute_masks(mode, pool):
     """Per-element bitmask of the pool members it commutes with, by the
-    exact commutation test on every pair."""
-    commute = trace_commute if mode == "monoid" else group_commute
+    exact commutation test on every pair: ``trace_commute`` in the monoid,
+    the commutator in the group."""
+    commute = trace_commute if mode == "monoid" else commutator_trivial
     masks = [1 << i for i in range(len(pool))]
     for i, j in itertools.combinations(range(len(pool)), 2):
         if commute(pool[i], pool[j]):

@@ -285,18 +285,19 @@ class TestCommuteMasks:
 
     def test_totally_commuting_pairs_skip_the_exact_test(self):
         pool = canonical_elements(standard_graph("complete(3)"), "group", 2)
-        with mock.patch.object(commgraph, "_insert", wraps=commgraph._insert) as exact:
+        with mock.patch.object(commgraph, "group_commute", wraps=commgraph.group_commute) as exact:
             masks = _commute_masks("group", pool)
         assert masks == [(1 << len(pool)) - 1] * len(pool)
         assert exact.call_count == 0
 
     def test_exact_test_runs_on_the_pairs_keys_and_supports_leave(self):
         # The keys leave the pairs whose projections commute in each rank-2
-        # free group; of those, the exact test (two insertions) runs on the
-        # pairs with a support vertex of one not adjacent to one of the other.
+        # free group; of those, the exact test (one group_commute call) runs
+        # on the pairs with a support vertex of one not adjacent to one of
+        # the other.
         graph = standard_graph("path(3)")
         pool = canonical_elements(graph, "group", 2)
-        with mock.patch.object(commgraph, "_insert", wraps=commgraph._insert) as exact:
+        with mock.patch.object(commgraph, "group_commute", wraps=commgraph.group_commute) as exact:
             _commute_masks("group", pool)
 
         def projections_commute(u, v, x, y):
@@ -309,7 +310,7 @@ class TestCommuteMasks:
             total = all(graph.adjacent(x, y) for x, _ in u.letters for y, _ in v.letters)
             left += keys_agree and not total
         assert left > 0
-        assert exact.call_count == 2 * left
+        assert exact.call_count == left
 
 
 def reference_search(target, pool, masks, strict=False):

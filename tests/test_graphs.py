@@ -20,6 +20,7 @@ from graphgroups import (
 from graphgroups.graphs import clique_number
 from oracles import (
     all_graphs_up_to,
+    brute_force_clique_number,
     brute_force_embedding_exists,
     is_isomorphic,
     ordered_backtracking_embedding,
@@ -251,6 +252,20 @@ class TestFindEmbedding:
         ]
         for p, h in cases:
             assert (find_embedding(p, h) is not None) == brute_force_embedding_exists(p, h)
+
+
+class TestCliqueNumber:
+    @pytest.mark.parametrize(
+        "g, expected",
+        [
+            (standard_graph("cycle(7)"), 2),
+            (standard_graph("complete(7)"), 7),
+            (connected_product(standard_graph("complete(3)"), standard_graph("C4")), 5),
+        ],
+        ids=["cycle(7)", "complete(7)", "complete(3)*C4"],
+    )
+    def test_beyond_the_small_sweep(self, g, expected):
+        assert clique_number(g) == expected == brute_force_clique_number(g)
 
 
 class WeakGraph(Graph):

@@ -271,8 +271,8 @@ def test_commuting_conjugates_share_mask_bits(pair):
 def test_projection_key_separates_conjugates(pair):
     # x y x^-1 and y differ only in the conjugator of their {x, y}
     # projections, so the key alone must tell them apart: the exact test
-    # (two stack insertions per pair no key separates) never runs.
-    with mock.patch.object(commgraph, "_insert", wraps=commgraph._insert) as exact:
+    # (one group_commute call per pair no key separates) never runs.
+    with mock.patch.object(commgraph, "group_commute", wraps=commgraph.group_commute) as exact:
         masks = commgraph._commute_masks("group", list(pair))
     assert masks == [0b01, 0b10]
     assert exact.call_count == 0
@@ -287,8 +287,8 @@ def small_graphs(draw):
 @settings(SETTINGS, max_examples=50)
 @given(small_graphs())
 def test_group_masks_match_pairwise_exact_tests(graph):
-    # Keys, then two stack insertions on the pairs left, against
-    # group_commute on every pair of the radius-2 ball.
+    # Keys, then the exact test on the pairs left, against the commutator
+    # of every pair of the radius-2 ball.
     pool = commgraph.canonical_elements(graph, "group", 2)
     assert commgraph._commute_masks("group", pool) == pairwise_commute_masks("group", pool)
 

@@ -7,6 +7,7 @@ from graphgroups import (
     Graph,
     GroupElement,
     Word,
+    canonical_elements,
     centralizer_witness,
     commutes_totally,
     cyclic_reduce,
@@ -21,8 +22,10 @@ from graphgroups import (
 )
 from graphgroups.raag import _centralizer_structure
 from oracles import (
+    all_graphs_up_to,
     bfs_geodesic_length,
     brute_force_primitive_root,
+    commutator_trivial,
     free_reduce,
     peel_cyclic_reduce,
     signed_alphabet,
@@ -184,6 +187,20 @@ class TestGroupEqual:
         for keep in (("x",), ("y",), ("z",)) + g.non_adjacent_pairs():
             sub = tuple(l for l in word.letters if l[0] in keep)
             assert free_reduce(sub) == ()
+
+
+class TestGroupCommute:
+    def test_matches_commutator_oracle_on_radius_two_balls(self):
+        # Every ordered pair of the radius-2 ball, over every graph on at
+        # most four vertices up to isomorphism.
+        for g in all_graphs_up_to(4):
+            elements = canonical_elements(g, "group", 2)
+            for u, v in itertools.product(elements, repeat=2):
+                assert group_commute(u, v) == commutator_trivial(u, v)
+
+    def test_different_graphs_rejected(self):
+        with pytest.raises(ValueError, match="different ambient graphs"):
+            group_commute(el(C4(), "a"), el(L3(), "w"))
 
 
 class TestSupportAndTotalCommutation:
