@@ -20,7 +20,8 @@ from .trace import (
     Word,
     _coordinates,
     _follow_table,
-    iter_trace_prefixes,
+    _inverse,
+    _root,
     lex_normal_letters,
     trace_commute,
     trace_normal_form,
@@ -140,7 +141,7 @@ def commutes_along(target, mode, members):
 def _free_root(word):
     """Primitive root of a word of a free monoid (signed letters act as
     monoid letters): the first candidate that is a literal root."""
-    return next((r for r, k in iter_trace_prefixes(word) if r * k == word), word)
+    return _root(word, lambda r, k: r * k == word)[0]
 
 
 def _projection_key(mode, graph, letters):
@@ -159,8 +160,7 @@ def _projection_key(mode, graph, letters):
     while letters[i] == (letters[n - 1 - i][0], -letters[n - 1 - i][1]):
         i += 1
     root = _free_root(letters[i : n - i])
-    inverse = tuple((b, -s) for b, s in reversed(root))
-    return letters[:i], min(root, inverse)  # keys are only compared for equality
+    return letters[:i], min(root, _inverse(root))  # keys are only compared for equality
 
 
 def _commute_masks(mode, pool):

@@ -21,7 +21,7 @@ import collections
 from .commgraph import ElementFamily, _ball
 from .graphs import Graph, _fresh_name, find_embedding, format_graph
 from .raag import GroupElement, group_commute
-from .trace import Word, _follow_table
+from .trace import Word, _follow_table, _inverse
 
 
 class EligibilityReport(collections.namedtuple("EligibilityReport", "eligible diagnostics")):
@@ -74,7 +74,7 @@ class ConcealmentResult(
             if sign > 0:
                 letters.extend(image)
             else:
-                letters.extend((b, -s) for b, s in reversed(image))
+                letters.extend(_inverse(image))
         return Word(self.omega, tuple(letters))
 
     def serialize(self):

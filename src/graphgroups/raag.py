@@ -30,7 +30,7 @@ import collections
 import functools
 
 from .graphs import co_components, induced
-from .trace import Word, _insert, check_letters, iter_trace_prefixes
+from .trace import Word, _insert, _inverse, _root, check_letters
 
 
 def _cancel(graph, u_letters, v_letters):
@@ -102,9 +102,7 @@ class GroupElement:
         return frozenset(b for b, _ in self.letters)
 
     def inverse(self):
-        return self._inserted(
-            self.graph, (), tuple((b, -s) for b, s in reversed(self.letters))
-        )
+        return self._inserted(self.graph, (), _inverse(self.letters))
 
     def __mul__(self, other):
         if not isinstance(other, GroupElement):
@@ -144,10 +142,17 @@ def group_reduce(x):
     raise TypeError(f"expected Word or GroupElement, got {type(x).__name__}")
 
 
-def group_equal(u, v):
+def _reduced_pair(u, v):
+    """u and v as elements (``group_reduce``), once both lie over one graph;
+    the one pair check of the two-element operations."""
     u, v = group_reduce(u), group_reduce(v)
     if u.graph != v.graph:
         raise ValueError("elements over different ambient graphs")
+    return u, v
+
+
+def group_equal(u, v):
+    u, v = _reduced_pair(u, v)
     return u.letters == v.letters
 
 
@@ -158,7 +163,7 @@ def support(g):
 def commutes_totally(u, v):
     """Every support vertex of u is adjacent (or equal) to every support
     vertex of v: supp(v) - {x} lies in N(x) for each x in supp(u)."""
-    u, v = group_reduce(u), group_reduce(v)
+    u, v = _reduced_pair(u, v)
     theirs = v.support()
     return all(theirs - {x} <= u.graph.neighbors(x) for x in u.support())
 
@@ -168,9 +173,7 @@ def group_commute(u, v):
     after u's normal form, and u's after v's. Each stack is then the normal
     form of its product, so the products are equal exactly when the stacks
     are."""
-    u, v = group_reduce(u), group_reduce(v)
-    if u.graph != v.graph:
-        raise ValueError("elements over different ambient graphs")
+    u, v = _reduced_pair(u, v)
     uv, vu = list(u.letters), list(v.letters)
     _insert(u.graph, uv, v.letters)
     _insert(u.graph, vu, u.letters)
@@ -182,9 +185,7 @@ def group_commute(u, v):
 
 def multiply_factorize(u, v):
     """Split a product into u = u'x and v = x^-1 v' with u'v' reduced."""
-    u, v = group_reduce(u), group_reduce(v)
-    if u.graph != v.graph:
-        raise ValueError("elements over different ambient graphs")
+    u, v = _reduced_pair(u, v)
     parts = _cancel(u.graph, u.letters, v.letters)
     return tuple(GroupElement._inserted(u.graph, (), part) for part in parts)
 
@@ -219,7 +220,7 @@ def cyclic_reduce(g):
     graph = g.graph
     kept, cancelled, _ = _cancel(graph, g.letters, g.letters)
     return CyclicDecomposition(
-        p=GroupElement._inserted(graph, (), tuple((b, -s) for b, s in reversed(cancelled))),
+        p=GroupElement._inserted(graph, (), _inverse(cancelled)),
         h=GroupElement._inserted(graph, (), cancelled + kept),
     )
 
@@ -241,34 +242,21 @@ class PureFactorization(collections.namedtuple("PureFactorization", "factors")):
         return result
 
 
-def _group_primitive_root(element):
-    """Maximal k with element = r**k, for a cyclically reduced element.
-
-    Powers of a cyclically reduced element multiply without cancellation, so
-    a root is cyclically reduced and spells a trace prefix of the canonical
-    word (signed letters acting as monoid letters): one candidate per k.
-    """
-    for root, k in iter_trace_prefixes(element.letters):
-        candidate = GroupElement._inserted(element.graph, (), root)
-        if candidate**k == element:
-            return candidate, k
-    return element, 1
-
-
 def pure_factors(h):
     """Factor a cyclically reduced element over the co-components of its
-    support subgraph, each block reduced to a primitive power."""
+    support subgraph, each block reduced to a primitive power. Powers of a
+    block multiply without cancellation, so a root is a trace prefix of its
+    word, signed letters acting as monoid letters (``trace._root``)."""
     h = group_reduce(h)
     if not is_cyclically_reduced(h):
         raise ValueError("pure factors require a cyclically reduced element")
-    graph = h.graph
-    blocks = co_components(induced(graph, h.support()))
+    element = functools.partial(GroupElement._inserted, h.graph, ())
     factors = []
-    for block in blocks:
+    for block in co_components(induced(h.graph, h.support())):
         members = set(block)
-        piece = GroupElement._inserted(graph, (), tuple(l for l in h.letters if l[0] in members))
-        root, exponent = _group_primitive_root(piece)
-        factors.append((root, exponent))
+        piece = element(tuple(l for l in h.letters if l[0] in members))
+        root, k = _root(piece.letters, lambda r, k: element(r * k) == piece)
+        factors.append((element(root), k))
     return PureFactorization(tuple(factors))
 
 
@@ -300,9 +288,8 @@ class CentralizerOutcome(
         if self.witness is None:
             return None
         w = self.witness
-        k1 = GroupElement.identity(w.p.graph)
-        for (root, _), c in zip(self.factorization.factors, w.exponents):
-            k1 = k1 * root**c
+        roots = (root for root, _ in self.factorization.factors)
+        k1 = PureFactorization(tuple(zip(roots, w.exponents))).reconstruct(w.p.graph)
         return w.p * k1 * w.k2 * w.p.inverse()
 
 
@@ -326,9 +313,7 @@ def centralizer_witness(g, k):
     p, h and the pure factors are cached for the last 64 g, so calls that
     repeat g compute them once; a one-off call costs what it did before.
     """
-    g, k = group_reduce(g), group_reduce(k)
-    if g.graph != k.graph:
-        raise ValueError("elements over different ambient graphs")
+    g, k = _reduced_pair(g, k)
     graph = g.graph
     decomposition, factorization = _centralizer_structure(g)
     p, h = decomposition.p, decomposition.h

@@ -17,7 +17,6 @@ pairs). For positive words it gives the canonical representative underlying
 
 from __future__ import annotations
 
-import collections
 import math
 import operator
 
@@ -99,8 +98,7 @@ class Word:
     def __mul__(self, other):
         if not isinstance(other, Word):
             return NotImplemented
-        if self.graph != other.graph:
-            raise ValueError("words over different ambient graphs")
+        _require_same_graph(self, other)
         return Word(self.graph, self.letters + other.letters)
 
     def __pow__(self, n):
@@ -109,11 +107,16 @@ class Word:
         return Word(self.graph, self.letters * n)
 
     def inverse(self):
-        return Word(self.graph, tuple((b, -s) for b, s in reversed(self.letters)))
+        return Word(self.graph, _inverse(self.letters))
 
     @property
     def is_positive(self):
         return all(s > 0 for _, s in self.letters)
+
+
+def _inverse(letters):
+    """The letters of the inverse word: reversed, each sign flipped."""
+    return tuple((b, -s) for b, s in reversed(letters))
 
 
 def _require_monoid(word):
@@ -160,10 +163,7 @@ def project_sigma(word, x, y):
     """
     _require_monoid(word)
     g = word.graph
-    if x not in g or y not in g:
-        bad = x if x not in g else y
-        raise ValueError(f"unknown vertex {bad!r}")
-    if x == y or g.adjacent(x, y):
+    if g.adjacent(x, y):  # reflexive, and it names an unknown vertex
         raise ValueError(f"pair ({x!r}, {y!r}) is not a non-adjacent pair")
     return Word(g, tuple((b, 1) for b in next(_coordinates(word, (), ((x, y),)))))
 
@@ -288,7 +288,9 @@ def iter_trace_prefixes(letters):
     A prefix of a trace is fixed by how many occurrences of each letter it
     takes, so this root is the only possible k-th root; callers check it.
     """
-    counts = collections.Counter(letters)
+    counts = {}
+    for l in letters:
+        counts[l] = counts.get(l, 0) + 1
     d = math.gcd(*counts.values())
     for k in range(d, 1, -1):
         if d % k:
@@ -302,6 +304,13 @@ def iter_trace_prefixes(letters):
         yield tuple(root), k
 
 
+def _root(letters, is_power):
+    """The first candidate (r, k) of ``iter_trace_prefixes``, largest k first,
+    with is_power(r, k), else (letters, 1): the one root finder, to which each
+    caller gives its own power test (trace, group or free-monoid equality)."""
+    return next((c for c in iter_trace_prefixes(letters) if is_power(*c)), (letters, 1))
+
+
 def primitive_root(word):
     """Maximal-exponent root: a word r and exponent k with r**k equivalent to
     the input and r not itself a proper power.
@@ -312,11 +321,9 @@ def primitive_root(word):
     _require_monoid(word)
     if len(word) == 0:
         raise ValueError("primitive root of the empty word is undefined")
-    for root, k in iter_trace_prefixes(word.letters):
-        candidate = Word(word.graph, root)
-        if trace_equal(candidate**k, word):
-            return trace_normal_form(candidate), k
-    return trace_normal_form(word), 1
+    g = word.graph
+    root, k = _root(word.letters, lambda r, k: trace_equal(Word(g, r) ** k, word))
+    return Word(g, lex_normal_letters(g, root)), k
 
 
 # -- product embedding -------------------------------------------------

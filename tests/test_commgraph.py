@@ -16,7 +16,7 @@ from graphgroups import (
     standard_graph,
 )
 from graphgroups import commgraph
-from graphgroups.commgraph import _ball, _commute_masks, commutes_along
+from graphgroups.commgraph import _ball, _commute_masks, _free_root, commutes_along
 from graphgroups.trace import _follow_table
 from oracles import (
     all_graphs_up_to,
@@ -311,6 +311,17 @@ class TestCommuteMasks:
             left += keys_agree and not total
         assert left > 0
         assert exact.call_count == left
+
+    def test_free_root_is_the_least_period_prefix(self):
+        # Every word over the signed letters of two bases, up to length 6.
+        # A word's least period is the first shift at which it recurs in its
+        # square, and that prefix is its primitive root in the free monoid.
+        code = {("x", 1): "x", ("x", -1): "X", ("y", 1): "y", ("y", -1): "Y"}
+        for n in range(1, 7):
+            for letters in itertools.product(code, repeat=n):
+                s = "".join(code[l] for l in letters)
+                assert _free_root(letters) == letters[: (s + s).find(s, 1)]
+        assert _free_root(()) == ()
 
 
 def reference_search(target, pool, masks, strict=False):

@@ -198,9 +198,16 @@ class TestGroupCommute:
             for u, v in itertools.product(elements, repeat=2):
                 assert group_commute(u, v) == commutator_trivial(u, v)
 
-    def test_different_graphs_rejected(self):
-        with pytest.raises(ValueError, match="different ambient graphs"):
-            group_commute(el(C4(), "a"), el(L3(), "w"))
+
+@pytest.mark.parametrize(
+    "operation",
+    [group_commute, group_equal, multiply_factorize, commutes_totally, centralizer_witness],
+    ids=lambda operation: operation.__name__,
+)
+def test_different_graphs_rejected(operation):
+    # Every two-element operation checks the pair's graphs the same way.
+    with pytest.raises(ValueError, match="different ambient graphs"):
+        operation(el(C4(), "a"), el(L3(), "w"))
 
 
 class TestSupportAndTotalCommutation:

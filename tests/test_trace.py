@@ -106,6 +106,22 @@ class TestProjections:
         with pytest.raises(ValueError):
             project_sigma(w(g, "a c"), "a", "a")
 
+    @pytest.mark.parametrize(
+        "x, y, message",
+        [
+            ("q", "a", "unknown vertex 'q'"),
+            ("a", "q", "unknown vertex 'q'"),
+            ("q", "r", "unknown vertex 'q'"),
+            ("a", "a", "pair ('a', 'a') is not a non-adjacent pair"),
+            ("a", "b", "pair ('a', 'b') is not a non-adjacent pair"),
+        ],
+    )
+    def test_sigma_error_messages(self, x, y, message):
+        # An unknown vertex is named before the pair is judged, x first.
+        with pytest.raises(ValueError) as info:
+            project_sigma(w(C4(), "a c"), x, y)
+        assert str(info.value) == message
+
     def test_projections_are_morphisms(self):
         # Projection of a concatenation equals concatenation of projections.
         rng = random.Random(97531)
