@@ -60,7 +60,7 @@ class GroupElement:
     (``trace.check_letters``) and canonicalizes them in one stack insertion,
     which reduces and sorts at once. Rebuilds from letters an element or a
     ``Word`` holds, products and powers included, use ``_inserted`` and
-    check nothing again. Equality and hashing compare graph and word.
+    check nothing again. Equality compares graph and word; the hash, the word.
     """
 
     __slots__ = ("graph", "letters")
@@ -123,7 +123,7 @@ class GroupElement:
         return self.graph == other.graph and self.letters == other.letters
 
     def __hash__(self):
-        return hash((self.graph, self.letters))
+        return hash(self.letters)
 
     def __str__(self):
         return str(self.word())
@@ -144,9 +144,9 @@ def group_reduce(x):
 
 def _reduced_pair(u, v):
     """u and v as elements (``group_reduce``), once both lie over one graph;
-    the one pair check of the two-element operations."""
+    the one pair check of the two-element operations, made once per call."""
     u, v = group_reduce(u), group_reduce(v)
-    if u.graph != v.graph:
+    if u.graph is not v.graph and u.graph != v.graph:
         raise ValueError("elements over different ambient graphs")
     return u, v
 
@@ -160,24 +160,32 @@ def support(g):
     return group_reduce(g).support()
 
 
+def _supports_commute(graph, mine, theirs):
+    """theirs - {x} lies in N(x) for each x in mine."""
+    return all(theirs - {x} <= graph.neighbors(x) for x in mine)
+
+
 def commutes_totally(u, v):
     """Every support vertex of u is adjacent (or equal) to every support
-    vertex of v: supp(v) - {x} lies in N(x) for each x in supp(u)."""
+    vertex of v, after one pair check (``_reduced_pair``)."""
     u, v = _reduced_pair(u, v)
-    theirs = v.support()
-    return all(theirs - {x} <= u.graph.neighbors(x) for x in u.support())
+    return _supports_commute(u.graph, u.support(), v.support())
+
+
+def _letters_commute(graph, u_letters, v_letters):
+    """Whether u v = v u, for normal forms u and v, by two stack insertions
+    (``_insert``): v's letters after u's, and u's after v's. Each stack is
+    its product's normal form, so the products are equal when the stacks are."""
+    uv, vu = list(u_letters), list(v_letters)
+    _insert(graph, uv, v_letters)
+    _insert(graph, vu, u_letters)
+    return uv == vu
 
 
 def group_commute(u, v):
-    """Whether u v = v u, by two stack insertions (``_insert``): v's letters
-    after u's normal form, and u's after v's. Each stack is then the normal
-    form of its product, so the products are equal exactly when the stacks
-    are."""
+    """Whether u v = v u: one pair check, then ``_letters_commute``."""
     u, v = _reduced_pair(u, v)
-    uv, vu = list(u.letters), list(v.letters)
-    _insert(u.graph, uv, v.letters)
-    _insert(u.graph, vu, u.letters)
-    return uv == vu
+    return _letters_commute(u.graph, u.letters, v.letters)
 
 
 # -- reduced product factorization --------------------------------------
@@ -312,16 +320,17 @@ def centralizer_witness(g, k):
     k2 = k1^-1 q. A failed check raises AssertionError, never a wrong witness.
     p, h and the pure factors are cached for the last 64 g, so calls that
     repeat g compute them once; a one-off call costs what it did before.
+    One pair check, then ``group_commute``'s test on the checked letters.
     """
     g, k = _reduced_pair(g, k)
     graph = g.graph
     decomposition, factorization = _centralizer_structure(g)
     p, h = decomposition.p, decomposition.h
-    if not group_commute(g, k):
+    if not _letters_commute(graph, g.letters, k.letters):
         return CentralizerOutcome(
             "proved-non-commuting", None, decomposition, factorization
         )
-    q = p.inverse() * k * p
+    q = GroupElement._inserted(graph, (), _inverse(p.letters) + k.letters + p.letters)
     k1 = GroupElement.identity(graph)
     exponents = []
     for root, _ in factorization.factors:
@@ -339,7 +348,7 @@ def centralizer_witness(g, k):
             k1 = k1 * expected
         exponents.append(c)
     k2 = k1.inverse() * q
-    if not commutes_totally(k2, h):
+    if not _supports_commute(graph, k2.support(), h.support()):
         raise AssertionError("k2 does not commute totally with h")
     witness = CentralizerWitness(p=p, exponents=tuple(exponents), k2=k2)
     return CentralizerOutcome("witness", witness, decomposition, factorization)

@@ -210,6 +210,35 @@ def test_different_graphs_rejected(operation):
         operation(el(C4(), "a"), el(L3(), "w"))
 
 
+@pytest.mark.parametrize(
+    "operation",
+    [group_commute, group_equal, multiply_factorize, commutes_totally, centralizer_witness],
+    ids=lambda operation: operation.__name__,
+)
+def test_equal_graphs_built_apart_accepted(operation):
+    # Two Graph objects built separately from the same vertices and edges are
+    # one ambient graph: the pair check compares them by value, and the
+    # answer is the one over a single object.
+    one, other = C4(), C4()
+    assert one is not other
+    for u, v in [("a", "b"), ("a", "c"), ("a b", "a'"), ("a c a'", "a c"), ("a a b", "a")]:
+        assert operation(el(one, u), el(other, v)) == operation(el(one, u), el(one, v))
+
+
+def test_hash_reads_the_word_and_equality_the_graph_too():
+    # Equal elements over equal but distinct graph objects hash equal.
+    x, y = el(C4(), "a b c a'"), el(C4(), "a b c a'")
+    assert x.graph is not y.graph
+    assert x == y and hash(x) == hash(y) and len({x, y}) == 1
+    # The same letters over C4 and over the path a-b-c-d: one hash, two
+    # elements.
+    path = Graph("a b c d".split(), [("a", "b"), ("b", "c"), ("c", "d")])
+    over_c4, over_path = el(C4(), "a c"), el(path, "a c")
+    assert over_c4.letters == over_path.letters
+    assert over_c4 != over_path
+    assert len({over_c4, over_path}) == 2
+
+
 class TestSupportAndTotalCommutation:
     def test_support_of_reduced_word(self):
         assert support(el(C4(), "a b a'")) == {"b"}
@@ -433,8 +462,20 @@ class TestCentralizerWitness:
         for a in elements:
             for b in elements:
                 out = centralizer_witness(a, b)
-                assert out.found == group_commute(a, b)
+                assert out.found == commutator_trivial(a, b)
                 assert out.status in ("witness", "proved-non-commuting")
+                if out.found:
+                    assert out.reconstruct() == b
+
+    @pytest.mark.parametrize("graph, size", [(C4, 217), (L3, 277)], ids=["C4", "L3"])
+    def test_matches_commutator_oracle_on_benchmark_balls(self, graph, size):
+        # Every ordered pair of the radius-3 ball: the benchmark's op set.
+        elements = ball(graph(), 3)
+        assert len(elements) == size
+        for a in elements:
+            for b in elements:
+                out = centralizer_witness(a, b)
+                assert out.found == commutator_trivial(a, b)
                 if out.found:
                     assert out.reconstruct() == b
 
