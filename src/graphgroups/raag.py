@@ -18,16 +18,16 @@ Beyond the word problem this module provides reduced product factorizations
 cyclic reduction (the unique p h p^-1 form with h shortest in its conjugacy
 class, read off the cancellation in g g by that same insertion), pure factors
 of cyclically reduced elements (one primitive commuting piece per
-co-component of the support), and centralizer witnesses of the
-form p k1 k2 p^-1 with k1 a product of pure-factor powers and k2 commuting
-totally with the cyclic reduction, the exponents of k1 read off projections
-(the part that depends on g alone is cached per g).
+co-component of the support), and centralizer witnesses p k1 k2 p^-1
+(k1 a product of pure-factor powers, k2 commuting totally with the cyclic
+reduction) read off projections by Servatius' theorem, with no commutation test.
 """
 
 from __future__ import annotations
 
 import collections
 import functools
+import itertools
 
 from .graphs import co_components, induced
 from .trace import Word, _insert, _inverse, _root, check_letters
@@ -120,7 +120,9 @@ class GroupElement:
     def __eq__(self, other):
         if not isinstance(other, GroupElement):
             return NotImplemented
-        return self.graph == other.graph and self.letters == other.letters
+        return self.letters == other.letters and (
+            self.graph is other.graph or self.graph == other.graph
+        )
 
     def __hash__(self):
         return hash(self.letters)
@@ -160,32 +162,23 @@ def support(g):
     return group_reduce(g).support()
 
 
-def _supports_commute(graph, mine, theirs):
-    """theirs - {x} lies in N(x) for each x in mine."""
-    return all(theirs - {x} <= graph.neighbors(x) for x in mine)
-
-
 def commutes_totally(u, v):
     """Every support vertex of u is adjacent (or equal) to every support
     vertex of v, after one pair check (``_reduced_pair``)."""
     u, v = _reduced_pair(u, v)
-    return _supports_commute(u.graph, u.support(), v.support())
-
-
-def _letters_commute(graph, u_letters, v_letters):
-    """Whether u v = v u, for normal forms u and v, by two stack insertions
-    (``_insert``): v's letters after u's, and u's after v's. Each stack is
-    its product's normal form, so the products are equal when the stacks are."""
-    uv, vu = list(u_letters), list(v_letters)
-    _insert(graph, uv, v_letters)
-    _insert(graph, vu, u_letters)
-    return uv == vu
+    theirs = v.support()
+    return all(theirs - {x} <= u.graph.neighbors(x) for x in u.support())
 
 
 def group_commute(u, v):
-    """Whether u v = v u: one pair check, then ``_letters_commute``."""
+    """Whether u v = v u: one pair check, then two stack insertions
+    (``_insert``): v's letters after u's, and u's after v's. Each stack is
+    its product's normal form, so the products are equal when the stacks are."""
     u, v = _reduced_pair(u, v)
-    return _letters_commute(u.graph, u.letters, v.letters)
+    uv, vu = list(u.letters), list(v.letters)
+    _insert(u.graph, uv, v.letters)
+    _insert(u.graph, vu, u.letters)
+    return uv == vu
 
 
 # -- reduced product factorization --------------------------------------
@@ -303,52 +296,59 @@ class CentralizerOutcome(
 
 @functools.lru_cache(maxsize=64)
 def _centralizer_structure(g):
-    """g = p h p^-1 and the pure factors of h, for a reduced g (immutable,
-    and the cache key holds its graph)."""
+    """g = p h p^-1, the pure factors r of h, and as sets of signed letters
+    the star of supp h (supp h and every vertex adjacent to all of it), each
+    block with r and r^-1 (no letters and no r^-1 for a one-vertex block)
+    and the rest of the star, for a reduced g (the key holds its graph)."""
     decomposition = cyclic_reduce(g)
-    return decomposition, pure_factors(decomposition.h)
+    factorization = pure_factors(decomposition.h)
+    letters = lambda vertices: frozenset(itertools.product(vertices, (1, -1)))
+    graph, supp = g.graph, decomposition.h.support()
+    star = letters(supp.union(v for v in graph.vertices if supp <= graph.neighbors(v)))
+    blocks = tuple(
+        (letters(r.support()), r, r.inverse()) if r.length > 1 else (frozenset(), r, None)
+        for r, _ in factorization.factors
+    )
+    rest = star.difference(*(block for block, _, _ in blocks))
+    return decomposition, factorization, star, blocks, rest
 
 
 def centralizer_witness(g, k):
     """Centralizer decomposition of k with respect to g.
 
     Write g = p h p^-1 with h cyclically reduced and pure factors r_1..r_n.
-    C(h) = <r_1> x ... x <r_n> x A(link supp h) (Servatius), so if k commutes
-    with g, each c_i is read off q = p^-1 k p: deleting the letters outside
-    the block of r_i is a retraction, which leaves r_i**c_i. A one-vertex
-    block lies in the link, so its c_i is 0 and its letters stay in
-    k2 = k1^-1 q. A failed check raises AssertionError, never a wrong witness.
-    p, h and the pure factors are cached for the last 64 g, so calls that
-    repeat g compute them once; a one-off call costs what it did before.
-    One pair check, then ``group_commute``'s test on the checked letters.
+    k commutes with g exactly when q = p^-1 k p lies in
+    C(h) = <r_1> x ... x <r_n> x A(link supp h) (Servatius), decided here
+    with no commutation test. q must lie in the group of the star of supp h,
+    the direct product of those of the blocks (co-components of supp h) and
+    of the rest, so q's letters on a block are the normal form of its
+    projection there. For a block of more than one vertex that must be
+    r_i**c_i, of length |c_i| |r_i|, and starting as r_i does for c_i > 0
+    and as r_i^-1 does for c_i < 0 (r_i is cyclically reduced, so those
+    first letters differ). A one-vertex block commutes with the whole star, so its c_i is
+    0 and k2 = k1^-1 q is q without its letters on multi-vertex blocks.
+    p, h, the pure factors and the star are cached for the last 64 g; when
+    p is empty, a k with a letter off the star costs no insertion.
     """
     g, k = _reduced_pair(g, k)
     graph = g.graph
-    decomposition, factorization = _centralizer_structure(g)
-    p, h = decomposition.p, decomposition.h
-    if not _letters_commute(graph, g.letters, k.letters):
-        return CentralizerOutcome(
-            "proved-non-commuting", None, decomposition, factorization
-        )
-    q = GroupElement._inserted(graph, (), _inverse(p.letters) + k.letters + p.letters)
-    k1 = GroupElement.identity(graph)
+    decomposition, factorization, star, blocks, rest = _centralizer_structure(g)
+    refused = CentralizerOutcome("proved-non-commuting", None, decomposition, factorization)
+    p, q = decomposition.p, k.letters
+    if p.letters:
+        q = GroupElement._inserted(graph, (), _inverse(p.letters) + q + p.letters).letters
+    if not star.issuperset(q):
+        return refused
     exponents = []
-    for root, _ in factorization.factors:
-        block = root.support()
-        c = 0
-        if len(block) > 1:
-            letters = tuple(l for l in q.letters if l[0] in block)
-            projection = GroupElement._inserted(graph, (), letters)
-            c = projection.length // root.length
-            expected = root**c
-            if expected != projection:
-                c, expected = -c, expected.inverse()
-            if expected != projection:
-                raise AssertionError("projection is not a power of its pure factor")
-            k1 = k1 * expected
+    for block, root, inverse in blocks:
+        projection = tuple(filter(block.__contains__, q))
+        c, off = divmod(len(projection), root.length)
+        if projection:
+            if projection[0] != root.letters[0]:
+                root, c = inverse, -c
+            if off or projection != (root ** abs(c)).letters:
+                return refused
         exponents.append(c)
-    k2 = k1.inverse() * q
-    if not _supports_commute(graph, k2.support(), h.support()):
-        raise AssertionError("k2 does not commute totally with h")
-    witness = CentralizerWitness(p=p, exponents=tuple(exponents), k2=k2)
+    k2 = GroupElement._inserted(graph, tuple(filter(rest.__contains__, q)), ())
+    witness = CentralizerWitness(p, tuple(exponents), k2)
     return CentralizerOutcome("witness", witness, decomposition, factorization)

@@ -15,16 +15,19 @@ from graphgroups import (  # noqa: E402
     Graph,
     GroupElement,
     Word,
+    centralizer_witness,
     cyclic_reduce,
     is_cyclically_reduced,
     multiply_factorize,
     primitive_root,
+    pure_factors,
     trace_equal,
     trace_normal_form,
 )
 from graphgroups import commgraph  # noqa: E402
 from graphgroups.trace import _follow_table  # noqa: E402
 from oracles import (  # noqa: E402
+    commutator_trivial,
     commute,
     greedy_lex_normal_letters,
     pairwise_commute_masks,
@@ -70,6 +73,41 @@ def conjugates(draw):
     p = draw(st.lists(letters(graph), max_size=3))
     h = draw(st.lists(letters(graph), max_size=10 - 2 * len(p)))
     return graph, p + h + [(b, -s) for b, s in reversed(p)]
+
+
+@st.composite
+def centralizer_pairs(draw):
+    """A graph on two to six vertices, g = p h p^-1 with p nontrivial and a
+    pure factor of h on more than one vertex, and k: half the time a random
+    word of at most eight letters, otherwise p * prod r_i**c_i * w * p^-1
+    with |c_i| <= 3, nonzero on multi-vertex blocks, and w a word over the
+    link of supp h (vertices off supp h adjacent to all of it). Returns the
+    graph, g, k and the c_i of the built k (None for a random k)."""
+    graph = graphs(draw, 6)
+    pairs = graph.non_adjacent_pairs()
+    assume(pairs)
+    x, y = draw(st.sampled_from(pairs))
+    sign = st.sampled_from((1, -1))
+    h = [(x, draw(sign)), (y, draw(sign))] + draw(st.lists(letters(graph), max_size=4))
+    p = draw(st.lists(letters(graph), min_size=1, max_size=3))
+    g = GroupElement(graph, p + h + [(b, -s) for b, s in reversed(p)])
+    decomposition = cyclic_reduce(g)
+    roots = [root for root, _ in pure_factors(decomposition.h).factors]
+    assume(decomposition.p.letters and any(root.length > 1 for root in roots))
+    if draw(st.booleans()):
+        return graph, g, GroupElement(graph, draw(st.lists(letters(graph), max_size=8))), None
+    exponents = [
+        draw(st.sampled_from((-3, -2, -1, 1, 2, 3)) if root.length > 1 else st.integers(-3, 3))
+        for root in roots
+    ]
+    supp = decomposition.h.support()
+    link = [v for v in graph.vertices if v not in supp and all(graph.adjacent(v, u) for u in supp)]
+    w = draw(st.lists(st.tuples(st.sampled_from(link), sign), max_size=4)) if link else []
+    k = decomposition.p
+    for root, c in zip(roots, exponents):
+        k = k * root**c
+    k = k * GroupElement(graph, w) * decomposition.p.inverse()
+    return graph, g, k, exponents
 
 
 @st.composite
@@ -216,6 +254,23 @@ def test_cyclic_reduce_rebuilds_the_element(case):
     assert 2 * dec.p.length + dec.h.length == g.length
     assert is_cyclically_reduced(g) == ((g * g).length == 2 * g.length)
     assert is_cyclically_reduced(dec.h)
+
+
+@SETTINGS
+@given(centralizer_pairs())
+def test_centralizer_witness_matches_commutator_oracle(case):
+    # Beyond the radius-3 balls: conjugated g, and powers r_i**c_i with
+    # |c_i| up to 3 of either sign.
+    graph, g, k, exponents = case
+    out = centralizer_witness(g, k)
+    assert out.found == commutator_trivial(g, k)
+    if exponents is not None:
+        # One-vertex blocks report 0 and leave their powers in k2.
+        roots = [root for root, _ in out.factorization.factors]
+        expected = [c if root.length > 1 else 0 for root, c in zip(roots, exponents)]
+        assert out.found and list(out.witness.exponents) == expected
+    if out.found:
+        assert out.reconstruct() == k
 
 
 @SETTINGS
