@@ -1,6 +1,6 @@
 """Computational toolkit for graph monoids and graph groups.
 
-Graphs with string vertices, words over them, projection-based monoid
+Graphs with named vertices, words over them, projection-based monoid
 equality and normal forms, geodesic group reduction, cyclic reduction and
 pure factors, centralizer witnesses read off projections, commutation
 graphs with bounded realizability search, and the concealment construction.

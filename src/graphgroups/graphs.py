@@ -1,9 +1,10 @@
 """Finite simple graphs with the constructions used for graph monoids and groups.
 
-Vertices are strings with a fixed total (lexicographic) order, used wherever a
-canonical order is needed. The adjacency relation is conceptually reflexive:
-``adjacent(v, v)`` reports true, but loops are never stored. Graphs are
-immutable values; all operations here are pure functions.
+Vertices are names of letters, digits and underscores (``VERTEX_NAME``, all
+that the text format and the word syntax can write), in a fixed total
+(lexicographic) order used wherever a canonical order is needed. Adjacency is
+conceptually reflexive: ``adjacent(v, v)`` reports true, but loops are never
+stored. Graphs are immutable values; all operations here are pure functions.
 """
 
 from __future__ import annotations
@@ -30,7 +31,8 @@ class ParseError(ValueError):
 
 
 class Graph:
-    """A finite simple graph with string-named vertices.
+    """A finite simple graph with vertices named as ``VERTEX_NAME`` allows
+    (any other vertex is rejected before sorting).
 
     Edges are stored as unordered pairs of distinct vertices; ``adjacent``
     treats every vertex as adjacent to itself.
@@ -39,28 +41,29 @@ class Graph:
     __slots__ = ("vertices", "_edges", "_adj", "_non_adjacent")
 
     def __init__(self, vertices, edges=()):
-        verts = tuple(sorted(vertices))
-        for i in range(1, len(verts)):
-            if verts[i] == verts[i - 1]:
-                raise ValueError(f"duplicate vertex {verts[i]!r}")
-        vset = set(verts)
-        adj = {v: set() for v in verts}
+        adj = {}
+        for v in vertices:  # checked before sorting, which a non-string could break
+            if not isinstance(v, str) or not VERTEX_NAME.match(v):
+                raise ValueError(f"bad vertex name {v!r}")
+            if v in adj:
+                raise ValueError(f"duplicate vertex {v!r}")
+            adj[v] = set()
+        self.vertices = tuple(sorted(adj))
         eset = set()
         for e in edges:
             u, v = tuple(e)
-            if u not in vset or v not in vset:
-                bad = u if u not in vset else v
+            if u not in adj or v not in adj:
+                bad = u if u not in adj else v
                 raise ValueError(f"edge endpoint {bad!r} is not a vertex")
             if u == v:
                 raise ValueError(f"self-loop at {u!r} not allowed")
             eset.add(frozenset((u, v)))
             adj[u].add(v)
             adj[v].add(u)
-        self.vertices = verts
         self._edges = frozenset(eset)
         self._adj = {v: frozenset(ns) for v, ns in adj.items()}
         self._non_adjacent = tuple([
-            (u, v) for u, v in itertools.combinations(verts, 2) if v not in adj[u]
+            (u, v) for u, v in itertools.combinations(self.vertices, 2) if v not in adj[u]
         ])
 
     # -- basic queries -------------------------------------------------
@@ -198,9 +201,10 @@ def connected_product(g, h):
     )
 
 
-def co_components(g):
-    """Connected components of the complement, as sorted disjoint blocks."""
-    remaining = set(g.vertices)
+def co_components(g, vertices=None):
+    """Connected components of the complement of g, or of the subgraph that
+    ``vertices`` induce (no ``induced`` Graph needed), as sorted blocks."""
+    remaining = set(g.vertices if vertices is None else vertices)
     blocks = []
     while remaining:
         start = min(remaining)
@@ -219,10 +223,7 @@ def co_components(g):
 def induced(g, subset):
     """Subgraph induced by a subset of vertices."""
     sub = set(subset)
-    for v in sub:
-        if v not in g:
-            raise ValueError(f"unknown vertex {v!r}")
-    return Graph(sub, [e for e in g.edges() if e[0] in sub and e[1] in sub])
+    return Graph(sub, [(u, v) for u in sub for v in g.neighbors(u) & sub])
 
 
 # -- forward-checking search ------------------------------------------

@@ -16,11 +16,12 @@ u v inserts only the letters of v after those of u.
 Beyond the word problem this module provides reduced product factorizations
 (which letters cancel when one reduced word is inserted after another),
 cyclic reduction (the unique p h p^-1 form with h shortest in its conjugacy
-class, read off the cancellation in g g by that same insertion), pure factors
-of cyclically reduced elements (one primitive commuting piece per
-co-component of the support), and centralizer witnesses p k1 k2 p^-1
-(k1 a product of pure-factor powers, k2 commuting totally with the cyclic
-reduction) read off projections by Servatius' theorem, with no commutation test.
+class, read off the cancellation in g g by that same insertion), and from one
+structure per element, cached for the last 64: pure factors of cyclically
+reduced elements (one primitive commuting piece per co-component of the
+support) and centralizer witnesses p k1 k2 p^-1 (k1 a product of pure-factor
+powers, k2 commuting totally with the cyclic reduction) read off projections
+by Servatius' theorem, with no commutation test.
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ import collections
 import functools
 import itertools
 
-from .graphs import co_components, induced
-from .trace import Word, _insert, _inverse, _root, check_letters
+from .graphs import co_components
+from .trace import Word, _insert, _inverse, _root, check_letters, lex_normal_letters
 
 
 def _cancel(graph, u_letters, v_letters):
@@ -245,20 +246,12 @@ class PureFactorization(collections.namedtuple("PureFactorization", "factors")):
 
 def pure_factors(h):
     """Factor a cyclically reduced element over the co-components of its
-    support subgraph, each block reduced to a primitive power. Powers of a
-    block multiply without cancellation, so a root is a trace prefix of its
-    word, signed letters acting as monoid letters (``trace._root``)."""
-    h = group_reduce(h)
-    if not is_cyclically_reduced(h):
+    support subgraph, each block a primitive power, as read off its cached
+    structure (``_centralizer_structure``); a nonempty p there refuses h."""
+    decomposition, factorization = _centralizer_structure(group_reduce(h))[:2]
+    if decomposition.p.letters:
         raise ValueError("pure factors require a cyclically reduced element")
-    element = functools.partial(GroupElement._inserted, h.graph, ())
-    factors = []
-    for block in co_components(induced(h.graph, h.support())):
-        members = set(block)
-        piece = element(tuple(l for l in h.letters if l[0] in members))
-        root, k = _root(piece.letters, lambda r, k: element(r * k) == piece)
-        factors.append((element(root), k))
-    return PureFactorization(tuple(factors))
+    return factorization
 
 
 # -- centralizer witnesses ------------------------------------------------
@@ -299,18 +292,23 @@ def _centralizer_structure(g):
     """g = p h p^-1, the pure factors r of h, and as sets of signed letters
     the star of supp h (supp h and every vertex adjacent to all of it), each
     block with r and r^-1 (no letters and no r^-1 for a one-vertex block)
-    and the rest of the star, for a reduced g (the key holds its graph)."""
+    and the rest of the star, for a reduced g (the key holds its graph).
+    h's letters on a block (a co-component of supp h) are in normal form, as
+    all its other letters commute with them, and powers of a block multiply
+    without cancellation, so a root is a trace prefix of them (``_root``)."""
     decomposition = cyclic_reduce(g)
-    factorization = pure_factors(decomposition.h)
     letters = lambda vertices: frozenset(itertools.product(vertices, (1, -1)))
-    graph, supp = g.graph, decomposition.h.support()
+    graph, h, supp = g.graph, decomposition.h, decomposition.h.support()
     star = letters(supp.union(v for v in graph.vertices if supp <= graph.neighbors(v)))
-    blocks = tuple(
-        (letters(r.support()), r, r.inverse()) if r.length > 1 else (frozenset(), r, None)
-        for r, _ in factorization.factors
-    )
+    factors, blocks = [], []
+    for block in map(letters, co_components(graph, supp)):
+        piece = tuple(filter(block.__contains__, h.letters))
+        root, k = _root(piece, lambda r, k: lex_normal_letters(graph, r * k) == piece)
+        r = GroupElement._inserted(graph, (), root)
+        factors.append((r, k))
+        blocks.append((block, r, r.inverse()) if r.length > 1 else (frozenset(), r, None))
     rest = star.difference(*(block for block, _, _ in blocks))
-    return decomposition, factorization, star, blocks, rest
+    return decomposition, PureFactorization(tuple(factors)), star, tuple(blocks), rest
 
 
 def centralizer_witness(g, k):

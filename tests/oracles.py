@@ -4,7 +4,8 @@ Everything here deliberately avoids the library's production code paths:
 graph enumeration by edge-mask orbits, embedding by scanning all injections
 (and the first embedding by plain backtracking in ``find_embedding``'s
 order, checking adjacency by name), positive words by plain products,
-clique number by scanning all subsets, geodesic length, word equivalence
+clique number by scanning all subsets, co-components by merging the classes
+of non-adjacent pairs, geodesic length, word equivalence
 and primitive roots by breadth-first closure over the elementary rewriting
 moves (swap adjacent commuting letters, cancel an adjacent inverse pair),
 cyclic reduction by peeling one conjugating letter pair at a time, the
@@ -192,6 +193,19 @@ def brute_force_primitive_root(graph, letters):
             if root * k in closure:
                 return root, k
     return letters, 1
+
+
+def complement_components(graph, vertices):
+    """The connected components of the complement of the subgraph that
+    vertices induce, as a set of frozensets: each non-adjacent pair
+    (``graph.adjacent``) merges the classes of its two vertices."""
+    classes = {v: frozenset([v]) for v in vertices}
+    for u, v in itertools.combinations(sorted(vertices), 2):
+        if not graph.adjacent(u, v) and classes[u] is not classes[v]:
+            merged = classes[u] | classes[v]
+            for w in merged:
+                classes[w] = merged
+    return set(classes.values())
 
 
 def commute(graph, a, b):

@@ -1,5 +1,6 @@
 import gc
 import itertools
+import re
 import weakref
 
 import pytest
@@ -58,6 +59,21 @@ class TestGraphBasics:
     def test_rejects_duplicate_vertex(self):
         with pytest.raises(ValueError):
             Graph(["a", "a"])
+
+    def test_rejects_a_name_the_text_format_cannot_write(self):
+        # format_graph would write "vertices a b c", three vertices to parse_graph.
+        with pytest.raises(ValueError, match="bad vertex name 'a b'"):
+            Graph(["a b", "c"], [("a b", "c")])
+
+    def test_rejects_a_vertex_that_is_not_a_string(self):
+        # Word letters name vertices by string, so no word could reach vertex 1.
+        with pytest.raises(ValueError, match="bad vertex name 1"):
+            Graph([1, 2], [(1, 2)])
+
+    def test_rejects_a_name_the_word_syntax_cannot_write(self):
+        # The word x' is the inverse of x, so a vertex x' could not be read back.
+        with pytest.raises(ValueError, match=re.escape("bad vertex name \"x'\"")):
+            Graph(["x'"])
 
     def test_unknown_vertex_in_adjacency(self):
         with pytest.raises(ValueError):
@@ -170,6 +186,16 @@ class TestCoComponents:
                             reached.add(u)
                             frontier.append(u)
                 assert reached == set(block)
+
+    def test_vertex_subset_matches_the_induced_subgraph(self):
+        for g in all_graphs_up_to(5):
+            for mask in range(1 << len(g)):
+                subset = [v for i, v in enumerate(g.vertices) if mask >> i & 1]
+                assert co_components(g, subset) == co_components(induced(g, subset))
+
+    def test_unknown_vertex_in_subset_rejected(self):
+        with pytest.raises(ValueError, match="unknown vertex 'nope'"):
+            co_components(C4(), {"a", "nope"})
 
 
 class TestInduced:

@@ -18,10 +18,10 @@ def test_star_import_binds_no_module_and_the_readme_example_names():
     assert names and names <= public.keys()
 
 
-def test_only_the_root_finder_names_the_prefix_generator():
-    # One root finder: trace._root is the one place that runs the candidate
-    # roots, so no module imports or calls iter_trace_prefixes itself.
-    name = "iter_trace_prefixes"
+def _places(name):
+    """(file, top-level definition) of each place in the package that names
+    name, as a variable, an attribute or an import; the definition is None
+    for a module-level statement such as the import itself."""
     places = set()
     for path in sorted((ROOT / "src" / "graphgroups").glob("*.py")):
         for top in ast.parse(path.read_text(encoding="utf-8")).body:
@@ -32,4 +32,19 @@ def test_only_the_root_finder_names_the_prefix_generator():
                     or isinstance(node, ast.alias) and name in (node.name, node.asname)
                 ):
                     places.add((path.name, getattr(top, "name", None)))
-    assert places == {("trace.py", "_root")}
+    return places
+
+
+def test_only_the_root_finder_names_the_prefix_generator():
+    # One root finder: trace._root is the one place that runs the candidate
+    # roots, so no module imports or calls iter_trace_prefixes itself.
+    assert _places("iter_trace_prefixes") == {("trace.py", "_root")}
+
+
+def test_only_the_structure_build_finds_pure_factor_blocks_and_roots():
+    # One Servatius structure per element: within raag, the co-components of
+    # the support and their roots are taken only by _centralizer_structure,
+    # which pure_factors and centralizer_witness both read.
+    for name in ("_root", "co_components"):
+        in_raag = {place for place in _places(name) if place[0] == "raag.py"}
+        assert in_raag == {("raag.py", None), ("raag.py", "_centralizer_structure")}

@@ -1,5 +1,7 @@
+import contextlib
 import itertools
 import random
+from unittest import mock
 
 import pytest
 
@@ -20,12 +22,14 @@ from graphgroups import (
     standard_graph,
     support,
 )
+from graphgroups import raag
 from graphgroups.raag import _centralizer_structure
 from oracles import (
     all_graphs_up_to,
     bfs_geodesic_length,
     brute_force_primitive_root,
     commutator_trivial,
+    complement_components,
     free_reduce,
     peel_cyclic_reduce,
     signed_alphabet,
@@ -414,6 +418,26 @@ class TestPureFactors:
                     assert oracle_exp == exp
                     assert oracle_root in swap_cancel_closure(graph, root.letters)
 
+    @pytest.mark.parametrize(
+        "graph, radius",
+        [(C4, 4), (L3, 4), (lambda: standard_graph("cycle(5)"), 3)],
+        ids=["C4", "L3", "cycle(5)"],
+    )
+    def test_blocks_and_pieces_match_an_independent_oracle(self, graph, radius):
+        # The factor supports are the co-components of supp h, and each
+        # factor power spells h's letters on its block in h's order: those
+        # letters are already in normal form, as the structure assumes.
+        graph = graph()
+        for h in ball(graph, radius):
+            if peel_cyclic_reduce(graph, h.letters)[0]:
+                continue
+            factors = pure_factors(h).factors
+            supports = {root.support() for root, _ in factors}
+            assert supports == complement_components(graph, h.support())
+            for root, exp in factors:
+                block = root.support()
+                assert (root**exp).letters == tuple(l for l in h.letters if l[0] in block)
+
     def brute_force_is_proper_power(self, element):
         # Independent oracle: scan every raw signed word of each dividing
         # length for an exact power.
@@ -436,6 +460,64 @@ class TestPureFactors:
                 for root, exp in pure_factors(h).factors:
                     if root.length <= 4:
                         assert not self.brute_force_is_proper_power(root)
+
+
+class TestPureFactorsCache:
+    """pure_factors reads the structure that centralizer_witness caches."""
+
+    @staticmethod
+    def rendered(factorization):
+        return [(str(root), exp) for root, exp in factorization.factors]
+
+    def test_cold_and_warm_calls_agree(self):
+        for graph in (C4(), L3()):
+            elements = [h for h in ball(graph, 3) if is_cyclically_reduced(h)]
+            warm = []
+            for h in elements:
+                pure_factors(h)
+                warm.append(pure_factors(h))
+            cold = []
+            for h in elements:
+                _centralizer_structure.cache_clear()
+                cold.append(pure_factors(h))
+            assert warm == cold
+            assert list(map(self.rendered, warm)) == list(map(self.rendered, cold))
+
+    def test_an_equal_graph_built_apart_gets_the_same_factors(self):
+        first, second = C4(), C4()
+        for text in ("a b", "a a b b b", "a c a c", "a c b d a c b d"):
+            _centralizer_structure.cache_clear()
+            cold = pure_factors(el(second, text))
+            _centralizer_structure.cache_clear()
+            warm_over_first = pure_factors(el(first, text))
+            cached = pure_factors(el(second, text))
+            assert cached == cold == warm_over_first
+            assert self.rendered(cached) == self.rendered(cold)
+            assert cached.reconstruct(second) == el(second, text)
+
+    def test_refusal_is_the_same_whether_or_not_cached(self):
+        g = el(C4(), "a c a'")
+        _centralizer_structure.cache_clear()
+        with pytest.raises(ValueError) as cold:
+            pure_factors(g)
+        _centralizer_structure.cache_clear()
+        assert centralizer_witness(g, g).found
+        with pytest.raises(ValueError) as cached:
+            pure_factors(g)
+        assert str(cold.value) == str(cached.value)
+        assert str(cached.value) == "pure factors require a cyclically reduced element"
+
+    def test_a_cold_call_cancels_once(self):
+        # The one cancellation of h h gives p, h and the cyclically reduced
+        # check at once, for pure_factors and for the witness alike.
+        for text in ("a b a b", "a c a c", "a c a'"):
+            g = el(C4(), text)
+            for call in (lambda: centralizer_witness(g, g), lambda: pure_factors(g)):
+                _centralizer_structure.cache_clear()
+                with mock.patch.object(raag, "_cancel", wraps=raag._cancel) as cancel:
+                    with contextlib.suppress(ValueError):
+                        call()
+                assert cancel.call_count == 1
 
 
 class TestCentralizerWitness:
