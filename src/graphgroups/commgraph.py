@@ -110,8 +110,9 @@ class RealizationReport(
     ``"exhausted"``: no assignment of elements of canonical length <= bound
     realizes the target. ``candidates`` counts the assignments tried, one
     vertex at a time; forward checking abandons one as soon as it leaves a
-    later vertex without candidates, and without ``strict`` only one element
-    per commutation class is tried.
+    later vertex without candidates, a failed state met again counts what its
+    first search tried, and without ``strict`` only one element per
+    commutation class is tried.
     """
 
     __slots__ = ()
@@ -226,7 +227,8 @@ def phi_search(target, ambient, mode, max_len, strict=False):
     all pairs, with fresh commutation computations, before the report is
     returned. The search is a single depth-first pass, so reports are
     deterministic. ``candidates`` in the report counts assignments tried:
-    without ``strict``, assignments of class representatives.
+    without ``strict``, assignments of class representatives; a failed state
+    the search remembers is not searched again but counts its tries again.
     """
     if max_len < 1:
         raise ValueError("max_len must be a positive integer")

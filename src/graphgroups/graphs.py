@@ -246,26 +246,35 @@ def _forward_check(want_edge, masks, domains, strict):
     ``strict`` also clears c, so the assignment is injective. The least
     assignment, lowest candidates first, comes back as a list, or None,
     with the number of candidates tried. ``domains`` may be a suffix of the
-    variables: want_edge rows are read from the end.
+    variables: want_edge rows are read from the end. A failed state, the
+    tuple of later domains, fixes its subsearch, so the call remembers it with
+    the candidates tried under it (nogood recording, Dechter) and, when it
+    comes up again, adds that count unsearched: the count is the plain one.
     """
-    if not domains:
-        return [], 0
-    edges, rest = want_edge[-len(domains)], domains[1:]
-    examined = 0
-    for c in _iter_bits(domains[0]):
-        examined += 1
-        if not rest:
-            return [c], examined
-        near, far = masks[c], ~masks[c]
-        if strict:
-            near ^= 1 << c
-        later = [d & (near if e else far) for d, e in zip(rest, edges)]
-        if all(later):
-            found, tried = _forward_check(want_edge, masks, later, strict)
-            examined += tried
-            if found is not None:
-                return [c] + found, examined
-    return None, examined
+    failed = {}  # lives for this call only
+
+    def search(domains):
+        edges, rest = want_edge[-len(domains)], domains[1:]
+        examined = 0
+        for c in _iter_bits(domains[0]):
+            examined += 1
+            if not rest:
+                return [c], examined
+            near, far = masks[c], ~masks[c]
+            if strict:
+                near ^= 1 << c
+            later = tuple([d & (near if e else far) for d, e in zip(rest, edges)])
+            if all(later):
+                tried = failed.get(later)
+                if tried is None:
+                    found, tried = search(later)
+                    if found is not None:
+                        return [c] + found, examined + tried
+                    failed[later] = tried
+                examined += tried
+        return None, examined
+
+    return search(domains) if domains else ([], 0)
 
 
 def _closed_masks(graph):

@@ -13,7 +13,8 @@ lexicographic normal form by the greedy extraction of the least movable letter
 (alone, or after an append-only reduction), balls by reducing every raw word
 of bounded length, group commutation by append-reducing the commutator, and
 commutation masks by testing every pair (no projection keys): group pairs by
-their commutator, monoid pairs by ``trace_commute``.
+their commutator, monoid pairs by ``trace_commute``, and the forward-checking
+search by the kernel as it was before it remembered failed states.
 """
 
 import itertools
@@ -349,3 +350,42 @@ def pairwise_commute_masks(mode, pool):
             masks[i] |= 1 << j
             masks[j] |= 1 << i
     return masks
+
+
+def _iter_bits(mask):
+    """Indices of the set bits of a non-negative integer, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def plain_forward_check(want_edge, masks, domains, strict):
+    """Depth-first search for candidates c_k in the bitmasks domains[k],
+    such that for i < j, c_j is in masks[c_i] (which holds c_i) exactly when
+    want_edge[i][j - i - 1]. Forward checking (Haralick and Elliott):
+    assigning c ANDs every later domain with masks[c], or its complement
+    where no edge is wanted, and backtracks as soon as one is empty;
+    ``strict`` also clears c, so the assignment is injective. The least
+    assignment, lowest candidates first, comes back as a list, or None,
+    with the number of candidates tried. ``domains`` may be a suffix of the
+    variables: want_edge rows are read from the end.
+    """
+    if not domains:
+        return [], 0
+    edges, rest = want_edge[-len(domains)], domains[1:]
+    examined = 0
+    for c in _iter_bits(domains[0]):
+        examined += 1
+        if not rest:
+            return [c], examined
+        near, far = masks[c], ~masks[c]
+        if strict:
+            near ^= 1 << c
+        later = [d & (near if e else far) for d, e in zip(rest, edges)]
+        if all(later):
+            found, tried = plain_forward_check(want_edge, masks, later, strict)
+            examined += tried
+            if found is not None:
+                return [c] + found, examined
+    return None, examined

@@ -283,6 +283,33 @@ class TestCommuteMasks:
             pool = canonical_elements(graph, "group", max_len)
             assert _commute_masks("group", pool) == pairwise_commute_masks("group", pool)
 
+    def test_projection_keys_alone_are_exact_at_bound_two(self):
+        """Step 1 of ``_commute_masks`` alone (the exact test of step 3
+        patched to answer yes) gives the exact masks at bound 2, on every
+        graph on at most four vertices, and that is enough for every graph.
+
+        Take u and v of length <= 2, and S the union of their supports, so
+        |S| <= 4. Whether they commute is decided in G(Γ[S]), a retract of
+        G(Γ). Their keys on pairs inside S are the same in Γ and in Γ[S]. On
+        a pair with one vertex in S, both projections are powers of one
+        letter or trivial, so the keys never separate u and v there.
+        """
+        with mock.patch.object(commgraph, "group_commute", lambda u, v: True):
+            for graph in all_graphs_up_to(4):
+                pool = canonical_elements(graph, "group", 2)
+                assert _commute_masks("group", pool) == pairwise_commute_masks("group", pool)
+
+    def test_projection_keys_alone_are_not_exact_at_bound_three(self):
+        # v1 and v3' v2' v3 agree on every key, since on each non-adjacent
+        # pair one projection is trivial: v3' v3 on {v1, v3}, and v1's on
+        # {v2, v3}. They do not commute, so at bound 3 the exact test is needed.
+        graph = Graph(["v1", "v2", "v3"], [("v1", "v2")])
+        pool = [group_reduce(Word.parse(graph, w)) for w in ("v1", "v3' v2' v3")]
+        assert pool[1].letters == (("v3", -1), ("v2", -1), ("v3", 1))
+        with mock.patch.object(commgraph, "group_commute", lambda u, v: True):
+            assert _commute_masks("group", pool) == [0b11, 0b11]
+        assert _commute_masks("group", pool) == pairwise_commute_masks("group", pool) == [0b01, 0b10]
+
     def test_totally_commuting_pairs_skip_the_exact_test(self):
         pool = canonical_elements(standard_graph("complete(3)"), "group", 2)
         with mock.patch.object(commgraph, "group_commute", wraps=commgraph.group_commute) as exact:

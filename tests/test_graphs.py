@@ -2,6 +2,7 @@ import gc
 import itertools
 import re
 import weakref
+from unittest import mock
 
 import pytest
 
@@ -15,16 +16,20 @@ from graphgroups import (
     format_graph,
     induced,
     parse_graph,
+    phi_search,
     resolve_name_collisions,
     standard_graph,
 )
+from graphgroups import commgraph, graphs
 from graphgroups.graphs import clique_number
 from oracles import (
     all_graphs_up_to,
+    all_graphs_up_to_iso,
     brute_force_clique_number,
     brute_force_embedding_exists,
     is_isomorphic,
     ordered_backtracking_embedding,
+    plain_forward_check,
 )
 
 
@@ -278,6 +283,74 @@ class TestFindEmbedding:
         ]
         for p, h in cases:
             assert (find_embedding(p, h) is not None) == brute_force_embedding_exists(p, h)
+
+
+class CountingList(list):
+    """A list that counts its item reads."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)
+
+
+def recorded_inputs(module, run):
+    """The arguments of every ``_forward_check`` call that run() makes
+    through module, each also run by the kernel."""
+    kernel, inputs = graphs._forward_check, []
+
+    def record(*args):
+        inputs.append(args)
+        return kernel(*args)
+
+    with mock.patch.object(module, "_forward_check", record):
+        run()
+    return inputs
+
+
+class TestForwardCheck:
+    """The kernel remembers the failed states of one call and replays their
+    counts, so it must return what the memo-free kernel of the oracles
+    returns, with fewer candidates actually tried."""
+
+    def test_same_result_as_the_plain_kernel_for_both_callers(self):
+        cycle5 = standard_graph("cycle(5)")
+        targets = [t for n in (3, 4, 5) for t in all_graphs_up_to_iso(n)]
+        patterns, hosts = all_graphs_up_to(4), all_graphs_up_to(5)
+
+        def searches():
+            for mode, max_len in (("group", 2), ("monoid", 3)):
+                for strict in (False, True):
+                    for target in targets:
+                        phi_search(target, cycle5, mode, max_len, strict=strict)
+
+        def embeddings():
+            for pattern in patterns:
+                for host in hosts:
+                    find_embedding(pattern, host)
+
+        inputs = recorded_inputs(commgraph, searches) + recorded_inputs(graphs, embeddings)
+        fitting = sum(len(p) <= len(h) for p in patterns for h in hosts)  # the rest search nothing
+        assert len(inputs) == 4 * len(targets) + fitting
+        # Back to back in one sequence: a memo that outlived its call would
+        # answer for the states of the next one.
+        results = [graphs._forward_check(*args) for args in inputs]
+        assert results == [plain_forward_check(*args) for args in inputs]
+
+    def test_failed_states_are_not_searched_again(self):
+        # The square, opposite vertices v1 and v2 first, into cycle(5) in the
+        # monoid at bound 3: exhausted after 10,151 candidates, more than half
+        # of them under states that had already failed.
+        square = Graph(["v1", "v2", "v3", "v4"], [("v1", "v3"), ("v1", "v4"), ("v2", "v3"), ("v2", "v4")])
+        calls = recorded_inputs(
+            commgraph, lambda: phi_search(square, standard_graph("cycle(5)"), "monoid", 3)
+        )
+        (want_edge, masks, domains, strict), = calls
+        counted, plain = CountingList(masks), CountingList(masks)
+        result = graphs._forward_check(want_edge, counted, domains, strict)
+        assert result == plain_forward_check(want_edge, plain, domains, strict)
+        assert result[0] is None and 0 < counted.reads < plain.reads / 2
 
 
 class TestCliqueNumber:
