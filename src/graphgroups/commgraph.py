@@ -30,14 +30,18 @@ from .trace import (
 MODES = ("monoid", "group")
 
 
+def _check_mode(mode):
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+
+
 class ElementFamily(collections.namedtuple("ElementFamily", "ambient mode members")):
     """An ordered family of canonical elements (duplicates permitted)."""
 
     __slots__ = ()
 
     def __new__(cls, ambient, mode, members):
-        if mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+        _check_mode(mode)
         canonical = []
         for m in members:
             if mode == "monoid":
@@ -92,8 +96,7 @@ def canonical_elements(ambient, mode, max_len):
     """All distinct canonical elements of length <= max_len (the group pool
     is the ball of that radius), in ``_ball`` order. Positive letters never
     cancel, so in the monoid these are the trace normal forms."""
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    _check_mode(mode)
     if max_len < 0:
         raise ValueError("max_len must be a non-negative integer")
     if mode == "monoid":
@@ -109,10 +112,7 @@ class RealizationReport(
     ``status`` is ``"found"`` with a verified witness assignment, or
     ``"exhausted"``: no assignment of elements of canonical length <= bound
     realizes the target. ``candidates`` counts the assignments tried, one
-    vertex at a time; forward checking abandons one as soon as it leaves a
-    later vertex without candidates, a failed state met again counts what its
-    first search tried, and without ``strict`` only one element per
-    commutation class is tried.
+    vertex at a time, as ``_bounded_search`` describes.
     """
 
     __slots__ = ()
@@ -132,9 +132,8 @@ class RealizationReport(
 def commutes_along(target, mode, members):
     """Whether members i, j commute exactly when target vertices i, j are adjacent."""
     verts = target.vertices
-    near = [target.neighbors(v) for v in verts]
     return all(
-        _commute(mode, members[i], members[j]) == (verts[j] in near[i])
+        _commute(mode, members[i], members[j]) == target.adjacent(verts[i], verts[j])
         for i, j in itertools.combinations(range(len(verts)), 2)
     )
 
@@ -210,46 +209,57 @@ def _commute_masks(mode, pool):
     return masks
 
 
+def _table(ambient, mode, max_len):
+    """The pool (``canonical_elements``), its commutation masks
+    (``_commute_masks``) and the default search's start domain: the least
+    element of each commutation class (elements commuting with exactly the
+    same elements). All three depend on the ambient, mode and bound alone."""
+    pool = canonical_elements(ambient, mode, max_len)
+    masks = _commute_masks(mode, pool)
+    least = {m: i for i, m in reversed(list(enumerate(masks)))}
+    return pool, masks, sum(1 << i for i in least.values())
+
+
+def _bounded_search(table, target, strict):
+    """The first assignment of pool elements to the target's vertices, in
+    canonical order, that commutes exactly along its edges (or None), with
+    the candidates tried. Forward checking, as ``find_embedding`` also runs
+    (``graphs._forward_check``): assigning c narrows each later vertex's
+    domain bitmask to c's commutation mask, or its complement where the
+    target pair is not an edge, and backtracks once a domain is empty.
+    ``strict`` asks for pairwise-distinct elements (the subset reading): the
+    search starts from the whole pool and also clears c. The default allows
+    repeats and tries only class representatives (``_table``), which finds
+    the same first witness and counts only their tries. A failed state the
+    search remembers is not searched again but counts its tries again."""
+    pool, masks, start = table
+    tverts = target.vertices
+    want_edge = [[target.adjacent(u, v) for v in tverts[i + 1 :]] for i, u in enumerate(tverts)]
+    domains = [(1 << len(pool)) - 1 if strict else start] * len(tverts)
+    found, examined = _forward_check(want_edge, masks, domains, strict)
+    return None if found is None else [pool[c] for c in found], examined
+
+
 def phi_search(target, ambient, mode, max_len, strict=False):
     """Bounded search for a family realizing the target commutation graph.
 
     Candidates are all distinct canonical elements of the ambient monoid or
-    group with length <= max_len; target vertices are assigned in canonical
-    order by the forward-checking search that ``find_embedding`` also runs
-    (``graphs._forward_check``): assigning c narrows every later vertex's
-    domain bitmask to c's commutation mask, or its complement where the
-    target pair is not an edge, and the search backtracks as soon as a
-    domain is empty. ``strict`` requires pairwise-distinct elements (the
-    subset reading), so the search is injective and also clears c; the
-    default allows repeats, and then tries only the least element of each
-    commutation class (elements commuting with exactly the same elements),
-    which finds the same first witness. A found witness is re-verified on
-    all pairs, with fresh commutation computations, before the report is
+    group with length <= max_len (``_table``), and ``_bounded_search``
+    assigns them to the target's vertices; ``strict`` requires
+    pairwise-distinct elements. A found witness is re-verified on all
+    pairs, with fresh commutation computations, before the report is
     returned. The search is a single depth-first pass, so reports are
-    deterministic. ``candidates`` in the report counts assignments tried:
-    without ``strict``, assignments of class representatives; a failed state
-    the search remembers is not searched again but counts its tries again.
+    deterministic, and ``candidates`` is its count of assignments tried.
     """
     if max_len < 1:
         raise ValueError("max_len must be a positive integer")
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    tverts = target.vertices
-    n = len(tverts)
-    if n == 0:
+    _check_mode(mode)
+    if not target.vertices:
         return RealizationReport(target, "found", {}, max_len, 0)
-    pool = canonical_elements(ambient, mode, max_len)
-    masks = _commute_masks(mode, pool)
-    full = (1 << len(pool)) - 1
-    least = {m: i for i, m in reversed(list(enumerate(masks)))}
-    start = full if strict else sum(1 << i for i in least.values())
-    near = [target.neighbors(v) for v in tverts]
-    want_edge = [[v in near[i] for v in tverts[i + 1 :]] for i in range(n)]
-    found, examined = _forward_check(want_edge, masks, [start] * n, strict)
-    if found is None:
+    assignment, examined = _bounded_search(_table(ambient, mode, max_len), target, strict)
+    if assignment is None:
         return RealizationReport(target, "exhausted", None, max_len, examined)
-    assignment = [pool[c] for c in found]
     if not commutes_along(target, mode, assignment):
         raise AssertionError("witness failed the final commutation re-check")
-    witness = {tverts[i]: assignment[i] for i in range(n)}
+    witness = dict(zip(target.vertices, assignment))
     return RealizationReport(target, "found", witness, max_len, examined)

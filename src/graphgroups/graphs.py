@@ -274,7 +274,10 @@ def _forward_check(want_edge, masks, domains, strict):
                 examined += tried
         return None, examined
 
-    return search(domains) if domains else ([], 0)
+    try:
+        return search(domains) if domains else ([], 0)
+    except RecursionError:  # one frame per variable
+        raise ValueError(f"a search over {len(domains)} vertices is too deep") from None
 
 
 def _closed_masks(graph):

@@ -22,7 +22,6 @@ from graphgroups import (
     group_reduce,
     max_free_commutative_rank,
     monoid_phi_witness,
-    phi_search,
     project_rho,
     standard_graph,
     trace_commute,
@@ -31,6 +30,7 @@ from graphgroups import (
     verify_no_embedding,
     verify_tau_injective,
 )
+from graphgroups.commgraph import _bounded_search, _table
 from oracles import (
     all_graphs_up_to,
     all_words,
@@ -196,6 +196,8 @@ def test_06_square_realizability_in_groups():
     # four-cycle: exhausted everywhere else (at bound 2 on up to six
     # vertices, and also at bound 3 on up to five), found on the four-cycle
     # itself.
+    # The bounded search runs directly, so the DFS is what brute-force
+    # embedding checks.
     failures = []
     c4 = standard_graph("C4")
     ambients = all_graphs_up_to(6)
@@ -204,13 +206,13 @@ def test_06_square_realizability_in_groups():
         has_square = brute_force_embedding_exists(c4, ambient)
         if has_square:
             with_square += 1
-            report = phi_search(c4, ambient, "group", 1)
-            if not report.found:
+            witness, _ = _bounded_search(_table(ambient, "group", 1), c4, False)
+            if witness is None:
                 failures.append(("expected found", ambient.edges()))
         else:
             for bound in (2, 3) if len(ambient) <= 5 else (2,):
-                report = phi_search(c4, ambient, "group", bound)
-                if report.status != "exhausted":
+                witness, _ = _bounded_search(_table(ambient, "group", bound), c4, False)
+                if witness is not None:
                     failures.append(("expected exhausted", bound, ambient.edges()))
     # On at most five vertices: C4 itself, and C4 plus a fifth vertex joined
     # to none, one, two adjacent, two opposite, three or all four of its
@@ -225,15 +227,16 @@ def test_06_square_realizability_in_groups():
 def test_07_square_realizability_in_monoids():
     # Monoid counterpart: realizable exactly when the four-cycle pattern
     # embeds (the pattern graph is the complement of two disjoint edges).
+    # The bounded search runs directly, as in test 06.
     failures = []
     c4 = standard_graph("C4")
     ambients = all_graphs_up_to(5)
     for ambient in ambients:
         embeds = brute_force_embedding_exists(c4, ambient)
         for bound in (2, 3):
-            report = phi_search(c4, ambient, "monoid", bound)
-            if report.found != embeds:
-                failures.append((ambient.edges(), bound, report.status, embeds))
+            witness, _ = _bounded_search(_table(ambient, "monoid", bound), c4, False)
+            if (witness is not None) != embeds:
+                failures.append((ambient.edges(), bound, witness, embeds))
     _report(7, "monoid square realizability iff the square embeds", failures,
             f"{len(ambients)} ambient graphs")
 

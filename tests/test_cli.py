@@ -323,6 +323,16 @@ class TestErrorsAndUsage:
         assert code == 2
         assert f"error: {bad}: not UTF-8" in err
 
+    def test_search_deeper_than_the_recursion_limit_exits_two(self, capsys, tmp_path):
+        # The kernel recurses once per vertex: too deep a search is refused
+        # as an error, not answered "none" with a traceback.
+        n = sys.getrecursionlimit()
+        big = tmp_path / "big.graph"
+        big.write_text("vertices " + " ".join(f"v{i}" for i in range(n)) + "\n")
+        code, out, err = run(capsys, ["graph", "embed", "--pattern", str(big), "--host", str(big)])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "too deep" in err
+
     def test_usage_error_exits_two(self, capsys):
         code = cli.main(["graph", "nonsense"])
         capsys.readouterr()

@@ -16,7 +16,14 @@ from graphgroups import (
     standard_graph,
 )
 from graphgroups import commgraph
-from graphgroups.commgraph import _ball, _commute_masks, _free_root, commutes_along
+from graphgroups.commgraph import (
+    _ball,
+    _bounded_search,
+    _commute_masks,
+    _free_root,
+    _table,
+    commutes_along,
+)
 from graphgroups.trace import _follow_table
 from oracles import (
     all_graphs_up_to,
@@ -387,16 +394,15 @@ class TestClassRepresentatives:
     plain search over the whole pool, having tried no more candidates."""
 
     def check(self, targets, ambient, mode, max_len):
-        pool = canonical_elements(ambient, mode, max_len)
+        table = _table(ambient, mode, max_len)
+        pool = table[0]
         masks = pairwise_commute_masks(mode, pool)
         for target in targets:
             for strict in (False, True):
                 found, examined = reference_search(target, pool, masks, strict)
-                report = phi_search(target, ambient, mode, max_len, strict=strict)
-                assert report.found == (found is not None)
-                if found is not None:
-                    assert report.witness == {v: pool[c] for v, c in zip(target.vertices, found)}
-                assert report.candidates <= examined
+                assignment, candidates = _bounded_search(table, target, strict)
+                assert assignment == (None if found is None else [pool[c] for c in found])
+                assert candidates <= examined
 
     def test_targets_into_cycle5(self):
         targets = [t for n in (3, 4, 5) for t in all_graphs_up_to_iso(n)]
@@ -407,3 +413,22 @@ class TestClassRepresentatives:
         for ambient in all_graphs_up_to(5):
             self.check([standard_graph("C4")], ambient, "group", 2)
             self.check([standard_graph("C4")], ambient, "monoid", 2)
+
+
+class TestTable:
+    """The pool, masks and start domain depend on the ambient, mode and
+    bound alone, so one table serves every target."""
+
+    @pytest.mark.parametrize("mode, max_len", [("group", 2), ("monoid", 3)])
+    def test_one_table_serves_many_targets(self, mode, max_len):
+        cycle5 = standard_graph("cycle(5)")
+        table = _table(cycle5, mode, max_len)
+        for target in (t for n in (3, 4, 5) for t in all_graphs_up_to_iso(n)):
+            for strict in (False, True):
+                assignment, candidates = _bounded_search(table, target, strict)
+                report = phi_search(target, cycle5, mode, max_len, strict=strict)
+                witness = None if assignment is None else dict(zip(target.vertices, assignment))
+                assert (report.found, report.witness, report.candidates) == (
+                    assignment is not None, witness, candidates
+                )
+        assert table == _table(cycle5, mode, max_len)

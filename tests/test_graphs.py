@@ -1,6 +1,7 @@
 import gc
 import itertools
 import re
+import sys
 import weakref
 from unittest import mock
 
@@ -351,6 +352,13 @@ class TestForwardCheck:
         result = graphs._forward_check(want_edge, counted, domains, strict)
         assert result == plain_forward_check(want_edge, plain, domains, strict)
         assert result[0] is None and 0 < counted.reads < plain.reads / 2
+
+
+def test_a_search_deeper_than_the_recursion_limit_is_refused():
+    n = sys.getrecursionlimit()
+    want_edge = [[True] * (n - 1 - i) for i in range(n)]
+    with pytest.raises(ValueError, match=f"a search over {n} vertices is too deep"):
+        graphs._forward_check(want_edge, [1], [1] * n, False)
 
 
 class TestCliqueNumber:

@@ -48,3 +48,14 @@ def test_only_the_structure_build_finds_pure_factor_blocks_and_roots():
     for name in ("_root", "co_components"):
         in_raag = {place for place in _places(name) if place[0] == "raag.py"}
         assert in_raag == {("raag.py", None), ("raag.py", "_centralizer_structure")}
+
+
+def test_only_the_table_builds_the_pool_and_only_the_bounded_search_runs_the_kernel():
+    # One seam in commgraph: the pool and its masks are built by _table
+    # alone, and the forward-checking kernel is run by _bounded_search alone,
+    # so later changes extend these two rather than add a second path.
+    for name in ("canonical_elements", "_commute_masks"):
+        in_commgraph = {place for place in _places(name) if place[0] == "commgraph.py"}
+        assert in_commgraph == {("commgraph.py", "_table")}
+    in_commgraph = {place for place in _places("_forward_check") if place[0] == "commgraph.py"}
+    assert in_commgraph == {("commgraph.py", None), ("commgraph.py", "_bounded_search")}
