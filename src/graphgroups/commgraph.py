@@ -175,6 +175,8 @@ def _commute_masks(mode, pool):
        on bitmasks, the link factor of Servatius' centralizer theorem.
     3. Exact test (group): projections are not faithful, so the pairs left
        are checked exactly by ``raag.group_commute`` (two stack insertions).
+       It runs only on pairs with an element longer than 2 letters; on
+       shorter pairs the keys are exact (proof in ``TestCommuteMasks``).
     """
     if not pool:
         return []
@@ -190,7 +192,8 @@ def _commute_masks(mode, pool):
         for i, key in enumerate(keys):
             if key is not None:
                 masks[i] &= classes.get(None, 0) | classes[key]
-    if mode == "group":
+    long = mode == "group" and sum(1 << i for i, e in enumerate(pool) if len(e.letters) > 2)
+    if long:  # two elements of length <= 2: the keys are exact
         closed, bit = _closed_masks(graph), {v: 1 << k for k, v in enumerate(graph.vertices)}
         supports, total = {}, {}  # support -> its members; link -> members inside it
         for i, s in enumerate(sum({bit[b] for b, _ in e.letters}) for e in pool):
@@ -202,7 +205,8 @@ def _commute_masks(mode, pool):
             if link not in total:
                 total[link] = sum(m for t, m in supports.items() if not t & ~link)
             for i in _iter_bits(members):
-                for j in _iter_bits(masks[i] & ~total[link] & ~((2 << i) - 1)):  # after i
+                near = -1 if long >> i & 1 else long  # a short i: the long members
+                for j in _iter_bits(masks[i] & ~total[link] & near & ~((2 << i) - 1)):  # after i
                     if not group_commute(pool[i], pool[j]):
                         masks[i] ^= 1 << j
                         masks[j] ^= 1 << i

@@ -285,9 +285,21 @@ class TestCommuteMasks:
     @pytest.mark.parametrize("max_len", [1, 2])
     def test_group_masks_match_pairwise_tests_on_small_graphs(self, max_len):
         # Every graph on at most five vertices: every ambient of the search
-        # workload, each up to isomorphism.
-        for graph in all_graphs_up_to(5):
-            pool = canonical_elements(graph, "group", max_len)
+        # workload, each up to isomorphism. No element is longer than 2
+        # letters, so the keys decide every pair and no exact test runs.
+        def no_exact_test(u, v):
+            raise AssertionError("exact test run at bound <= 2")
+
+        with mock.patch.object(commgraph, "group_commute", no_exact_test):
+            for graph in all_graphs_up_to(5):
+                pool = canonical_elements(graph, "group", max_len)
+                assert _commute_masks("group", pool) == pairwise_commute_masks("group", pool)
+
+    def test_group_masks_match_pairwise_tests_at_bound_three(self):
+        # Pools mixing elements of length <= 2 with longer ones: the exact
+        # test must still run on every pair with a longer element.
+        for graph in all_graphs_up_to(4):
+            pool = canonical_elements(graph, "group", 3)
             assert _commute_masks("group", pool) == pairwise_commute_masks("group", pool)
 
     def test_projection_keys_alone_are_exact_at_bound_two(self):
@@ -328,9 +340,9 @@ class TestCommuteMasks:
         # The keys leave the pairs whose projections commute in each rank-2
         # free group; of those, the exact test (one group_commute call) runs
         # on the pairs with a support vertex of one not adjacent to one of
-        # the other.
+        # the other, and an element longer than 2 letters.
         graph = standard_graph("path(3)")
-        pool = canonical_elements(graph, "group", 2)
+        pool = canonical_elements(graph, "group", 3)
         with mock.patch.object(commgraph, "group_commute", wraps=commgraph.group_commute) as exact:
             _commute_masks("group", pool)
 
@@ -342,7 +354,8 @@ class TestCommuteMasks:
         for u, v in itertools.combinations(pool, 2):
             keys_agree = all(projections_commute(u, v, x, y) for x, y in graph.non_adjacent_pairs())
             total = all(graph.adjacent(x, y) for x, _ in u.letters for y, _ in v.letters)
-            left += keys_agree and not total
+            long = max(len(u.letters), len(v.letters)) > 2
+            left += keys_agree and not total and long
         assert left > 0
         assert exact.call_count == left
 
