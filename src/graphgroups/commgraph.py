@@ -49,7 +49,7 @@ class ElementFamily(collections.namedtuple("ElementFamily", "ambient mode member
                     m = m.word()
                 if not m.is_positive:
                     raise ValueError("monoid family member with inverse letters")
-            if m.graph != ambient:
+            if m.graph is not ambient and m.graph != ambient:
                 raise ValueError("family member over a different graph")
             canonical.append(
                 trace_normal_form(m) if mode == "monoid" else group_reduce(m)
@@ -100,7 +100,7 @@ def canonical_elements(ambient, mode, max_len):
     if max_len < 0:
         raise ValueError("max_len must be a non-negative integer")
     if mode == "monoid":
-        return [Word(ambient, w) for w, _, _ in _ball(ambient, mode, max_len)]
+        return [Word._of(ambient, w) for w, _, _ in _ball(ambient, mode, max_len)]
     return [GroupElement._inserted(ambient, w, ()) for w, _, _ in _ball(ambient, mode, max_len)]
 
 

@@ -75,7 +75,7 @@ class ConcealmentResult(
                 letters.extend(image)
             else:
                 letters.extend(_inverse(image))
-        return Word(self.omega, tuple(letters))
+        return Word._of(self.omega, tuple(letters))
 
     def serialize(self):
         lines = [format_graph(self.omega).rstrip("\n")]
@@ -120,9 +120,9 @@ def build_concealment(graph):
     tau = {}
     for v in graph.vertices:
         if v == e:
-            tau[v] = Word(omega, ((e0, 1), (e1, 1), (e0, 1), (e1, 1)))
+            tau[v] = Word._of(omega, ((e0, 1), (e1, 1), (e0, 1), (e1, 1)))
         else:
-            tau[v] = Word(omega, ((v, 1),))
+            tau[v] = Word._of(omega, ((v, 1),))
     return ConcealmentResult(
         gamma=graph, omega=omega, e=e, f=f, g=g, e0=e0, e1=e1, tau=tau
     )
@@ -162,7 +162,7 @@ def _tau_images(result, max_len):
     per letter when every letter is in the mask; otherwise it is inserted,
     and the mask is recomputed over the result."""
     _, index, keep, up = _follow_table(result.omega)
-    tau_of = {(v, s): result.apply_tau(Word(result.gamma, ((v, s),))).letters
+    tau_of = {(v, s): result.apply_tau(Word._of(result.gamma, ((v, s),))).letters
               for v in result.gamma.vertices for s in (1, -1)}
     parents = []  # (image, follow mask) of the elements shorter than max_len
     for w, parent, last in _ball(result.gamma, "group", max_len):
@@ -200,7 +200,7 @@ def verify_tau_injective(result, max_len):
     for w, image in _tau_images(result, max_len):
         first = seen.setdefault(image, w)
         if first is not w:
-            collisions.append((GroupElement(gamma, first), GroupElement(gamma, w)))
+            collisions.append(tuple(GroupElement._inserted(gamma, x, ()) for x in (first, w)))
     return TauInjectivityReport(
         bound=max_len,
         element_count=len(seen) + len(collisions),

@@ -60,8 +60,9 @@ class GroupElement:
     The constructor checks letters from outside as ``Word``'s does
     (``trace.check_letters``) and canonicalizes them in one stack insertion,
     which reduces and sorts at once. Rebuilds from letters an element or a
-    ``Word`` holds, products and powers included, use ``_inserted`` and
-    check nothing again. Equality compares graph and word; the hash, the word.
+    ``Word`` holds, products, powers and ``word()`` included, use
+    ``_inserted`` or ``Word._of`` and check nothing again. Equality compares
+    graph and word; the hash, the word.
     """
 
     __slots__ = ("graph", "letters")
@@ -96,7 +97,7 @@ class GroupElement:
         return not self.letters
 
     def word(self):
-        return Word(self.graph, self.letters)
+        return Word._of(self.graph, self.letters)
 
     def support(self):
         """Vertices occurring in the reduced word (representative-free)."""
@@ -108,7 +109,7 @@ class GroupElement:
     def __mul__(self, other):
         if not isinstance(other, GroupElement):
             return NotImplemented
-        if self.graph != other.graph:
+        if self.graph is not other.graph and self.graph != other.graph:
             raise ValueError("elements over different ambient graphs")
         return self._inserted(self.graph, self.letters, other.letters)
 

@@ -24,15 +24,41 @@ from .graphs import clique_number
 
 
 def _str_letter(letter):
-    """The letter with a string base; one that has it is kept, not copied."""
-    base, sign = letter
+    """The letter as a ``(str, sign)`` tuple: one that is one is kept, not
+    copied, and one that is not a pair (a string is none, even of two
+    characters) is refused."""
+    try:
+        base, sign = () if isinstance(letter, str) else letter
+    except (TypeError, ValueError):
+        raise ValueError(f"letter must be a (vertex, sign) pair, got {letter!r}") from None
     return letter if type(letter) is tuple and type(base) is str else (str(base), sign)
 
 
 def check_letters(graph, letters):
     """Letters from outside as a tuple of ``(str, sign)`` tuples, once every
     base is a vertex of graph and every sign is +1 or -1; ``Word`` and
-    ``GroupElement`` both check here (``[1, 1]`` becomes ``("1", 1)``)."""
+    ``GroupElement`` both check here, and only their constructors do.
+
+    One bulk test accepts a word and keeps a given tuple: every letter is a
+    plain tuple (their types and hashes are taken in C), and each distinct
+    letter, of which a valid word has at most 2|V|, is a vertex and a sign.
+    Only a word that fails it is checked letter by letter, which coerces
+    (``[1, 1]`` becomes ``("1", 1)``) or names the first bad letter.
+    """
+    letters = tuple(letters)
+    if set(map(type, letters)) <= {tuple}:
+        try:
+            distinct = set(letters)
+        except TypeError:  # a letter with an unhashable part
+            distinct = [()]  # which fails the test below
+        for letter in distinct:
+            if len(letter) != 2:
+                break
+            base, sign = letter
+            if type(base) is not str or base not in graph or sign not in (1, -1):
+                break
+        else:
+            return letters
     letters = tuple(map(_str_letter, letters))
     for base, sign in letters:
         if base not in graph:
@@ -46,7 +72,10 @@ class Word:
     """An immutable sequence of signed letters over an ambient graph.
 
     A letter is a ``(base, sign)`` pair with sign +1 or -1; monoid operations
-    require every sign to be +1. Letters are checked by ``check_letters``.
+    require every sign to be +1. Letters from outside are checked once, by
+    ``check_letters``; words the program rebuilds from letters it holds
+    (products, powers, inverses, normal forms, roots, projections) come
+    from ``_of`` and are not checked again.
     Equality and hashing are literal (same graph, same letter sequence);
     semantic equality lives in ``trace_equal`` and the group module.
     """
@@ -56,6 +85,14 @@ class Word:
     def __init__(self, graph, letters=()):
         self.graph = graph
         self.letters = check_letters(graph, letters)
+
+    @classmethod
+    def _of(cls, graph, letters):
+        """The word of a tuple of letters built from checked ones, unchecked."""
+        word = object.__new__(cls)
+        word.graph = graph
+        word.letters = letters
+        return word
 
     @classmethod
     def parse(cls, graph, text):
@@ -73,7 +110,7 @@ class Word:
             if base not in graph:
                 raise ValueError(f"unknown vertex {base!r} in word")
             letters.append((base, sign))
-        return cls(graph, letters)
+        return cls._of(graph, tuple(letters))
 
     def __str__(self):
         return " ".join(b if s > 0 else b + "'" for b, s in self.letters)
@@ -90,7 +127,9 @@ class Word:
     def __eq__(self, other):
         if not isinstance(other, Word):
             return NotImplemented
-        return self.graph == other.graph and self.letters == other.letters
+        return self.letters == other.letters and (
+            self.graph is other.graph or self.graph == other.graph
+        )
 
     def __hash__(self):
         return hash((self.graph, self.letters))
@@ -99,15 +138,15 @@ class Word:
         if not isinstance(other, Word):
             return NotImplemented
         _require_same_graph(self, other)
-        return Word(self.graph, self.letters + other.letters)
+        return Word._of(self.graph, self.letters + other.letters)
 
     def __pow__(self, n):
         if n < 0:
             return self.inverse() ** (-n)
-        return Word(self.graph, self.letters * n)
+        return Word._of(self.graph, self.letters * n)
 
     def inverse(self):
-        return Word(self.graph, _inverse(self.letters))
+        return Word._of(self.graph, _inverse(self.letters))
 
     @property
     def is_positive(self):
@@ -125,7 +164,7 @@ def _require_monoid(word):
 
 
 def _require_same_graph(u, v):
-    if u.graph != v.graph:
+    if u.graph is not v.graph and u.graph != v.graph:
         raise ValueError("words over different ambient graphs")
 
 
@@ -165,7 +204,7 @@ def project_sigma(word, x, y):
     g = word.graph
     if g.adjacent(x, y):  # reflexive, and it names an unknown vertex
         raise ValueError(f"pair ({x!r}, {y!r}) is not a non-adjacent pair")
-    return Word(g, tuple((b, 1) for b in next(_coordinates(word, (), ((x, y),)))))
+    return Word._of(g, tuple((b, 1) for b in next(_coordinates(word, (), ((x, y),)))))
 
 
 # -- equality, normal form, commutation --------------------------------
@@ -262,7 +301,7 @@ def trace_normal_form(word):
     """Canonical representative: lexicographically least word in the
     commutation class. Idempotent; equal normal forms iff trace_equal."""
     _require_monoid(word)
-    return Word(word.graph, lex_normal_letters(word.graph, word.letters))
+    return Word._of(word.graph, lex_normal_letters(word.graph, word.letters))
 
 
 def trace_commute(u, v):
@@ -322,8 +361,8 @@ def primitive_root(word):
     if len(word) == 0:
         raise ValueError("primitive root of the empty word is undefined")
     g = word.graph
-    root, k = _root(word.letters, lambda r, k: trace_equal(Word(g, r) ** k, word))
-    return Word(g, lex_normal_letters(g, root)), k
+    root, k = _root(word.letters, lambda r, k: trace_equal(Word._of(g, r) ** k, word))
+    return Word._of(g, lex_normal_letters(g, root)), k
 
 
 # -- product embedding -------------------------------------------------
@@ -354,7 +393,7 @@ class ProductEmbeddingTable:
 
     def evaluate(self, word):
         _require_monoid(word)
-        if word.graph != self.graph:
+        if word.graph is not self.graph and word.graph != self.graph:
             raise ValueError("word over a different ambient graph")
         return tuple(_coordinates(word, self.rho_coords, self.sigma_coords))
 

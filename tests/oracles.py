@@ -14,7 +14,8 @@ lexicographic normal form by the greedy extraction of the least movable letter
 of bounded length, group commutation by append-reducing the commutator, and
 commutation masks by testing every pair (no projection keys): group pairs by
 their commutator, monoid pairs by ``trace_commute``, and the forward-checking
-search by the kernel as it was before it remembered failed states.
+search by the kernel as it was before it remembered failed states, and
+the letter check by one pass per letter, as it was before the bulk test.
 """
 
 import itertools
@@ -65,6 +66,28 @@ def is_isomorphic(g, h):
         ):
             return True
     return False
+
+
+def letters_checked_one_by_one(graph, letters):
+    """Letters from outside checked one at a time, reading only
+    ``graph.vertices``: each letter must be a pair (a string is none), and is
+    made a tuple with a string base; then, in order, each base must be a
+    vertex and each sign +1 or -1. The first failure raises ``ValueError``."""
+    coerced = []
+    for letter in letters:
+        try:
+            if isinstance(letter, str):
+                raise ValueError
+            base, sign = letter
+        except (TypeError, ValueError):
+            raise ValueError(f"letter must be a (vertex, sign) pair, got {letter!r}") from None
+        coerced.append((str(base), sign))
+    for base, sign in coerced:
+        if base not in graph.vertices:
+            raise ValueError(f"unknown vertex {base!r}")
+        if sign not in (1, -1):
+            raise ValueError(f"letter sign must be +1 or -1, got {sign}")
+    return tuple(coerced)
 
 
 def brute_force_embedding_exists(pattern, host):

@@ -3,6 +3,23 @@ import re
 import types
 from pathlib import Path
 
+import pytest
+
+from graphgroups import (
+    Graph,
+    GroupElement,
+    Word,
+    build_concealment,
+    canonical_elements,
+    primitive_root,
+    project_sigma,
+    raag,
+    standard_graph,
+    trace,
+    trace_normal_form,
+    verify_tau_injective,
+)
+
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
 
@@ -19,19 +36,25 @@ def test_star_import_binds_no_module_and_the_readme_example_names():
 
 
 def _places(name):
-    """(file, top-level definition) of each place in the package that names
-    name, as a variable, an attribute or an import; the definition is None
-    for a module-level statement such as the import itself."""
+    """(file, definition) of each place in the package that names name, as a
+    variable, an attribute or an import; the definition is a top-level one,
+    or ``Class.method`` inside a class, and None for a module-level
+    statement such as the import itself."""
     places = set()
     for path in sorted((ROOT / "src" / "graphgroups").glob("*.py")):
         for top in ast.parse(path.read_text(encoding="utf-8")).body:
-            for node in ast.walk(top):
-                if (
-                    isinstance(node, ast.Name) and node.id == name
-                    or isinstance(node, ast.Attribute) and node.attr == name
-                    or isinstance(node, ast.alias) and name in (node.name, node.asname)
-                ):
-                    places.add((path.name, getattr(top, "name", None)))
+            inner = top.body if isinstance(top, ast.ClassDef) else [top]
+            for item in inner:
+                where = getattr(top, "name", None)
+                if item is not top and hasattr(item, "name"):
+                    where = f"{where}.{item.name}"
+                for node in ast.walk(item):
+                    if (
+                        isinstance(node, ast.Name) and node.id == name
+                        or isinstance(node, ast.Attribute) and node.attr == name
+                        or isinstance(node, ast.alias) and name in (node.name, node.asname)
+                    ):
+                        places.add((path.name, where))
     return places
 
 
@@ -59,3 +82,57 @@ def test_only_the_table_builds_the_pool_and_only_the_bounded_search_runs_the_ker
         assert in_commgraph == {("commgraph.py", "_table")}
     in_commgraph = {place for place in _places("_forward_check") if place[0] == "commgraph.py"}
     assert in_commgraph == {("commgraph.py", None), ("commgraph.py", "_bounded_search")}
+
+
+def test_only_the_two_constructors_check_letters():
+    # Letters from outside are checked once, where they come in; every word
+    # or element the program rebuilds from letters it holds is unchecked.
+    assert _places("check_letters") == {
+        ("trace.py", "Word.__init__"),
+        ("raag.py", None),
+        ("raag.py", "GroupElement.__init__"),
+    }
+
+
+def _raise(*args):
+    raise AssertionError("not to be called here")
+
+
+def test_valid_letters_pass_the_bulk_test_without_a_per_letter_pass(monkeypatch):
+    # The per-letter pass coerces through _str_letter; a valid word must not
+    # reach it, however long.
+    graph = standard_graph("cycle(8)")
+    letters = [(graph.vertices[i * 5 % 8], (-1) ** (i // 3)) for i in range(512)]
+    monkeypatch.setattr(trace, "_str_letter", _raise)
+    assert len(Word(graph, letters)) == 512
+    assert GroupElement(graph, letters).length <= 512
+    assert Word(graph, tuple(letters)).letters == tuple(letters)
+
+
+def test_rebuilds_from_held_letters_check_nothing_again(monkeypatch):
+    graph = Graph("a b c d".split(), [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")])
+    u = Word(graph, [("a", 1), ("c", 1), ("a", 1), ("c", 1)])
+    v = Word(graph, [("b", 1), ("a", -1)])
+    ba = Word(graph, [("b", 1), ("a", 1)])
+    element = GroupElement(graph, v.letters)
+    eligible = Graph("a b c d".split(), [("a", "b")])
+    result = build_concealment(eligible)
+    signed = Word(eligible, [("a", 1), ("c", -1)])
+    for module in (trace, raag):
+        monkeypatch.setattr(module, "check_letters", _raise)
+    assert str(u * v) == "a c a c b a'"
+    assert str(u**2) == "a c a c a c a c" and str(v**-1) == "a b'"
+    assert str(v.inverse()) == "a b'"
+    assert str(trace_normal_form(ba)) == "a b"
+    root, k = primitive_root(u)
+    assert (str(root), k) == ("a c", 2)
+    assert str(project_sigma(u, "a", "c")) == "a c a c"
+    assert element.word().letters == element.letters and str(element) == "a' b"
+    assert len(canonical_elements(graph, "monoid", 2)) == 17
+    assert str(result.apply_tau(signed)) == "a_0 a_1 a_0 a_1 c'"
+    tau = build_concealment(eligible).tau
+    assert [str(tau[v]) for v in "abcd"] == ["a_0 a_1 a_0 a_1", "b", "c", "d"]
+    assert verify_tau_injective(result, 2).passed
+    assert str(Word.parse(graph, "a b' c")) == "a b' c"
+    with pytest.raises(AssertionError):  # the constructors still check
+        Word(graph, [])

@@ -25,11 +25,12 @@ from graphgroups import (  # noqa: E402
     trace_normal_form,
 )
 from graphgroups import commgraph  # noqa: E402
-from graphgroups.trace import _follow_table  # noqa: E402
+from graphgroups.trace import _follow_table, check_letters  # noqa: E402
 from oracles import (  # noqa: E402
     commutator_trivial,
     commute,
     greedy_lex_normal_letters,
+    letters_checked_one_by_one,
     pairwise_commute_masks,
     raw_word_ball,
     two_pass_reduce,
@@ -369,3 +370,44 @@ def test_follow_mask_matches_insertion(case):
         follow = keep[i] | follow & up[i]
     for i, l in enumerate(alphabet):
         assert bool(follow >> i & 1) == (GroupElement._inserted(graph, w, (l,)).letters == w + (l,))
+
+
+DIGIT_GRAPH = Graph(["1", "2", "a", "b"], [("1", "a")])
+VALID_LETTER = st.tuples(st.sampled_from(DIGIT_GRAPH.vertices), st.sampled_from((1, -1)))
+OTHER_LETTER = st.one_of(
+    st.tuples(st.sampled_from(("q", "c", 1, 2, 3)), st.sampled_from((1, -1))),  # unknown, int
+    VALID_LETTER.map(list),
+    st.tuples(st.sampled_from(DIGIT_GRAPH.vertices), st.sampled_from((0, 2, 1.5, -1.9, True))),
+    st.sampled_from((5, ("a",), ("a", 1, 2), "ab", "a")),  # not pairs
+)
+
+
+@st.composite
+def outside_letters(draw):
+    """Valid letters with up to two letters of the other kinds (bad, or
+    coercible to valid) inserted, and sometimes one unhashable letter."""
+    letters = draw(st.lists(VALID_LETTER, max_size=12))
+    others = draw(st.lists(OTHER_LETTER, max_size=2))
+    if draw(st.integers(0, 3)) == 0:
+        others.append(draw(st.sampled_from((("a", [1]), (["a"], 1), ("b", {})))))
+    for letter in others:
+        letters.insert(draw(st.integers(0, len(letters))), letter)
+    return letters
+
+
+def _outcome(check, letters):
+    try:
+        return "ok", check(DIGIT_GRAPH, letters)
+    except Exception as exc:  # the type and message are what must agree
+        return "error", type(exc), str(exc)
+
+
+@SETTINGS
+@given(outside_letters())
+def test_bulk_letter_check_matches_the_one_by_one_check(letters):
+    expected = _outcome(letters_checked_one_by_one, letters)
+    for given_as in (list, tuple):
+        found = _outcome(check_letters, given_as(letters))
+        assert found == expected
+        if found[0] == "ok":
+            assert all(type(letter) is tuple and type(letter[0]) is str for letter in found[1])

@@ -1,8 +1,10 @@
 import random
+import re
 
 import pytest
 
 from graphgroups import (
+    ElementFamily,
     Graph,
     GroupElement,
     Word,
@@ -85,6 +87,42 @@ class TestWord:
     def test_letters_coerced_to_string_based_tuples(self, constructor):
         g = Graph(["1", "2"], [])
         assert constructor(g, [[1, 1], (2, -1)]).letters == (("1", 1), ("2", -1))
+
+    def test_tuple_of_letters_kept_as_the_same_object(self):
+        given = (("a", 1), ("b", -1), ("a", 1))
+        assert Word(C4(), given).letters is given
+
+    @pytest.mark.parametrize("letter", [5, ("a",), ("a", 1, 2), "ab", "a"])
+    @pytest.mark.parametrize("constructor", [Word, GroupElement])
+    def test_rejects_a_letter_that_is_not_a_pair(self, constructor, letter):
+        message = f"letter must be a (vertex, sign) pair, got {letter!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            constructor(C4(), [("a", 1), letter])
+
+    @pytest.mark.parametrize("letter, name", [(("q", 1), "'q'"), ((7, -1), "'7'")])
+    @pytest.mark.parametrize("constructor", [Word, GroupElement])
+    def test_rejects_an_unknown_vertex(self, constructor, letter, name):
+        with pytest.raises(ValueError, match=f"unknown vertex {name}"):
+            constructor(C4(), [("a", 1), ("b", -1)] * 8 + [letter])
+
+    @pytest.mark.parametrize("given", [[("a", 1), ("a", 2)], [("a", 2), ("a", 1)]])
+    @pytest.mark.parametrize("constructor", [Word, GroupElement])
+    def test_rejects_a_bad_sign_beside_a_good_one_of_its_base(self, constructor, given):
+        with pytest.raises(ValueError, match="letter sign must be"):
+            constructor(C4(), given)
+
+    def test_words_over_equal_distinct_graphs_multiply_and_compare_equal(self):
+        g, h = C4(), C4()
+        assert g is not h
+        u, v = w(g, "a b"), w(h, "a b")
+        assert u == v and hash(u) == hash(v)
+        assert (u * v).letters == (u * u).letters
+        assert trace_equal(u, v) and trace_commute(u, v)
+        assert embed_into_product(g).evaluate(v) == embed_into_product(g).evaluate(u)
+        x, y = GroupElement(g, u.letters), GroupElement(h, v.letters)
+        assert x == y and x * y == x * x
+        family = ElementFamily(g, "monoid", [u, v])
+        assert family.members == (u, v)
 
 
 class TestProjections:
