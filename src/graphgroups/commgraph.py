@@ -28,6 +28,7 @@ from .trace import (
 )
 
 MODES = ("monoid", "group")
+_FREE_PAIR = Graph(("a", "b"))  # every non-adjacent pair x, y, relabelled: x as a, y as b
 
 
 def _check_mode(mode):
@@ -144,16 +145,18 @@ def _free_root(word):
     return _root(word, lambda r, k: r * k == word)[0]
 
 
-def _projection_key(mode, graph, letters):
-    """Key of a projection onto a non-adjacent pair, None when it is
-    trivial: two projections commute exactly when one is trivial or their
-    keys are equal. Monoid: the primitive root (Lyndon and Schutzenberger).
-    Group: commuting elements of a free group are powers of one c r c^-1, so
-    the free reduction c z c^-1 (z cyclically reduced) keys on c and the
-    primitive root of z up to inversion."""
+def _projection_key(mode, pattern):
+    """Key of a projection onto a non-adjacent pair x, y, given as its
+    pattern over ``_FREE_PAIR`` (x as a, y as b, signs kept; a table build
+    keys each pattern once), None when it is trivial: two projections commute
+    exactly when one is trivial or their keys are equal. Monoid: the
+    primitive root (Lyndon and Schutzenberger). Group: commuting elements of
+    a free group are powers of one c r c^-1, so the free reduction c z c^-1
+    (z cyclically reduced) keys on c and the primitive root of z up to
+    inversion."""
     if mode == "monoid":
-        return _free_root(letters) if letters else None
-    letters = lex_normal_letters(graph, letters)  # x, y do not commute: free reduction
+        return _free_root(pattern) if pattern else None
+    letters = lex_normal_letters(_FREE_PAIR, pattern)  # a, b do not commute: free reduction
     if not letters:
         return None
     i, n = 0, len(letters)
@@ -169,7 +172,8 @@ def _commute_masks(mode, pool):
 
     1. Keys: per non-adjacent pair, element i keeps the members whose
        projection is trivial or has the key of its own (``_projection_key``).
-       In the monoid that is the commutation test itself.
+       In the monoid that is the commutation test itself. Keys are compared
+       within a pair, so each pattern over the free pair is keyed once.
     2. Total commutation (group): v commutes with u when supp(v) lies in the
        AND of the closed neighbourhoods over supp(u): ``raag.commutes_totally``
        on bitmasks, the link factor of Servatius' centralizer theorem.
@@ -183,9 +187,14 @@ def _commute_masks(mode, pool):
     graph = pool[0].graph
     pairs = graph.non_adjacent_pairs()
     masks = [(1 << len(pool)) - 1] * len(pool)
-    for projections in zip(*(_coordinates(e, (), pairs, mode == "group") for e in pool)):
-        known = {s: _projection_key(mode, graph, s) for s in set(projections)}
-        keys = [known[s] for s in projections]  # elements often share a projection
+    known, signed = {}, mode == "group"  # pattern -> key, shared by the pairs of this call
+    for (x, y), projections in zip(pairs, zip(*(_coordinates(e, (), pairs, signed) for e in pool))):
+        free = {x: "a", y: "b"}  # the group relabels letters and keeps their signs
+        free = {(v, e): (n, e) for v, n in free.items() for e in (1, -1)} if signed else free
+        pattern = {s: tuple([free[l] for l in s]) for s in set(projections)}  # each distinct once
+        for p in set(pattern.values()).difference(known):
+            known[p] = _projection_key(mode, p)
+        keys = [known[pattern[s]] for s in projections]
         classes = {}
         for i, key in enumerate(keys):
             classes[key] = classes.get(key, 0) | 1 << i

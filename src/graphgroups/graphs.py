@@ -51,7 +51,10 @@ class Graph:
         self.vertices = tuple(sorted(adj))
         eset = set()
         for e in edges:
-            u, v = tuple(e)
+            try:  # a string is no pair, even of two characters
+                u, v = () if isinstance(e, str) else e
+            except (TypeError, ValueError):
+                raise ValueError(f"edge must be a pair of vertices, got {e!r}") from None
             if u not in adj or v not in adj:
                 bad = u if u not in adj else v
                 raise ValueError(f"edge endpoint {bad!r} is not a vertex")

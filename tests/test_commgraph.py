@@ -28,6 +28,7 @@ from graphgroups.trace import _follow_table
 from oracles import (
     all_graphs_up_to,
     all_graphs_up_to_iso,
+    brute_force_embedding_exists,
     cayley_ball_by_rewriting,
     follow_table_by_pairs,
     free_reduce,
@@ -172,6 +173,21 @@ class TestPhiSearch:
         assert report.status == "exhausted"
         assert report.bound == 2
 
+    def test_targets_with_an_induced_square_are_exhausted_into_cycle5(self):
+        # The paper's theorem: cycle(5) has no induced square, so no four
+        # elements of its graph group or monoid commute as a square, and a
+        # realization of a target restricts to one of each induced square.
+        square, cycle5 = standard_graph("C4"), standard_graph("cycle(5)")
+        assert not brute_force_embedding_exists(square, cycle5)
+        small = [t for n in (4, 5) for t in all_graphs_up_to_iso(n)]
+        targets = [t for t in small if brute_force_embedding_exists(square, t)]
+        assert len(targets) == 7
+        for target in targets:
+            for mode, max_len in (("group", 2), ("monoid", 3)):
+                for strict in (False, True):
+                    report = phi_search(target, cycle5, mode, max_len, strict=strict)
+                    assert report.status == "exhausted"
+
     def test_empty_target_vacuously_found(self):
         report = phi_search(Graph([]), C4(), "group", 1)
         assert report.found
@@ -274,6 +290,33 @@ class TestCommuteMasks:
     def test_projection_keys_match_pairwise_tests(self, name, mode, max_len):
         pool = canonical_elements(standard_graph(name), mode, max_len)
         assert _commute_masks(mode, pool) == pairwise_commute_masks(mode, pool)
+
+    def test_monoid_masks_match_pairwise_tests_on_small_graphs(self):
+        # Every graph on five vertices, up to isomorphism, at the target
+        # sweep's monoid bound.
+        for graph in all_graphs_up_to_iso(5):
+            pool = canonical_elements(graph, "monoid", 3)
+            assert _commute_masks("monoid", pool) == pairwise_commute_masks("monoid", pool)
+
+    @pytest.mark.parametrize("mode, max_len", [("group", 2), ("monoid", 3)])
+    def test_each_pattern_is_keyed_once_per_call(self, mode, max_len):
+        # Keys are compared within one pair only, so each pair x, y relabels
+        # its projections (x as a, y as b, signs kept in the group), and one
+        # call keys each distinct pattern once, whichever pairs share it.
+        graph = standard_graph("cycle(5)")
+        pool = canonical_elements(graph, mode, max_len)
+        patterns = set()
+        for x, y in graph.non_adjacent_pairs():
+            free = {x: "a", y: "b"}
+            for e in pool:
+                kept = tuple((free[b], s) for b, s in e.letters if b in free)
+                patterns.add(kept if mode == "group" else tuple(b for b, _ in kept))
+        wrapped = mock.patch.object(commgraph, "_projection_key", wraps=commgraph._projection_key)
+        with wrapped as key:
+            _commute_masks(mode, pool)
+            assert key.call_count == len(patterns)
+            _commute_masks(mode, pool)  # the memo lives for one call
+            assert key.call_count == 2 * len(patterns)
 
     def test_exact_test_clears_pair_with_trivial_projections(self):
         # Every rank-2 projection of g is trivial (acceptance test 10), yet g

@@ -55,11 +55,13 @@ class TestGraphBasics:
         assert all(g.degree(v) == 2 for v in g.vertices)
 
     def test_rejects_self_loop(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="self-loop at 'a' not allowed"):
             Graph(["a"], [("a", "a")])
+        with pytest.raises(ValueError, match="self-loop at 'a' not allowed"):
+            Graph(["a"], [["a", "a"]])
 
     def test_rejects_unknown_endpoint(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="edge endpoint 'c' is not a vertex"):
             Graph(["a", "b"], [("a", "c")])
 
     def test_rejects_duplicate_vertex(self):
@@ -80,6 +82,18 @@ class TestGraphBasics:
         # The word x' is the inverse of x, so a vertex x' could not be read back.
         with pytest.raises(ValueError, match=re.escape("bad vertex name \"x'\"")):
             Graph(["x'"])
+
+    @pytest.mark.parametrize("edge", ["ab", ("a", "b", "c"), ("a",), 5])
+    def test_rejects_an_edge_that_is_not_a_pair(self, edge):
+        # A string of two characters is no pair, as for word letters.
+        message = f"edge must be a pair of vertices, got {edge!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Graph(["a", "b", "c"], [edge])
+
+    @pytest.mark.parametrize("edge", [("a", "b"), ["b", "a"], frozenset("ab")])
+    def test_accepts_tuples_lists_and_frozensets_of_two_vertices(self, edge):
+        g = Graph(["a", "b", "c"], [edge])
+        assert g.edges() == (("a", "b"),) and g._edges == {frozenset("ab")}
 
     def test_unknown_vertex_in_adjacency(self):
         with pytest.raises(ValueError):

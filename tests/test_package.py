@@ -84,6 +84,12 @@ def test_only_the_table_builds_the_pool_and_only_the_bounded_search_runs_the_ker
     assert in_commgraph == {("commgraph.py", None), ("commgraph.py", "_bounded_search")}
 
 
+def test_only_the_mask_build_keys_projections():
+    # One caller and one memo: _commute_masks keys each projection pattern
+    # once per call, so no other code computes keys past that memo.
+    assert _places("_projection_key") == {("commgraph.py", "_commute_masks")}
+
+
 def test_only_the_two_constructors_check_letters():
     # Letters from outside are checked once, where they come in; every word
     # or element the program rebuilds from letters it holds is unchecked.
