@@ -249,38 +249,38 @@ def _forward_check(want_edge, masks, domains, strict):
     ``strict`` also clears c, so the assignment is injective. The least
     assignment, lowest candidates first, comes back as a list, or None,
     with the number of candidates tried. ``domains`` may be a suffix of the
-    variables: want_edge rows are read from the end. A failed state, the
-    tuple of later domains, fixes its subsearch, so the call remembers it with
-    the candidates tried under it (nogood recording, Dechter) and, when it
-    comes up again, adds that count unsearched: the count is the plain one.
+    variables: want_edge rows are read from the end. A failed state, the tuple
+    of later domains, fixes its subsearch, so the call remembers it with the
+    candidates tried under it (nogood recording, Dechter) and, when it comes up
+    again, adds that count unsearched: the count is the plain one. Entering a
+    state stacks the level with its candidate: no recursion limit applies.
     """
-    failed = {}  # lives for this call only
-
-    def search(domains):
-        edges, rest = want_edge[-len(domains)], domains[1:]
-        examined = 0
-        for c in _iter_bits(domains[0]):
+    if not domains:
+        return [], 0
+    failed, stack, examined = {}, [], 0  # failed lives for this call only
+    bits, level, entered = _iter_bits(domains[0]), tuple(domains), 0
+    while True:
+        edges, rest = want_edge[-len(level)], level[1:]
+        for c in bits:
             examined += 1
             if not rest:
-                return [c], examined
+                return [frame[3] for frame in stack] + [c], examined
             near, far = masks[c], ~masks[c]
             if strict:
                 near ^= 1 << c
             later = tuple([d & (near if e else far) for d, e in zip(rest, edges)])
             if all(later):
                 tried = failed.get(later)
-                if tried is None:
-                    found, tried = search(later)
-                    if found is not None:
-                        return [c] + found, examined + tried
-                    failed[later] = tried
+                if tried is None:  # enter it; this level resumes after c
+                    stack.append((bits, level, entered, c))
+                    bits, level, entered = _iter_bits(later[0]), later, examined
+                    break
                 examined += tried
-        return None, examined
-
-    try:
-        return search(domains) if domains else ([], 0)
-    except RecursionError:  # one frame per variable
-        raise ValueError(f"a search over {len(domains)} vertices is too deep") from None
+        else:  # no candidate left: the level's state has failed
+            if not stack:
+                return None, examined
+            failed[level] = examined - entered
+            bits, level, entered, _ = stack.pop()
 
 
 def _closed_masks(graph):

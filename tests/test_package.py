@@ -84,6 +84,16 @@ def test_only_the_table_builds_the_pool_and_only_the_bounded_search_runs_the_ker
     assert in_commgraph == {("commgraph.py", None), ("commgraph.py", "_bounded_search")}
 
 
+def test_the_forward_checking_kernel_is_one_loop():
+    # No nested function, no call to itself and no try: the search depth
+    # rests on the kernel's own stack, so no recursion limit can refuse it.
+    tree = ast.parse((ROOT / "src" / "graphgroups" / "graphs.py").read_text(encoding="utf-8"))
+    (kernel,) = [f for f in tree.body if getattr(f, "name", None) == "_forward_check"]
+    inner = list(ast.walk(kernel))[1:]
+    assert not [n for n in inner if isinstance(n, (ast.FunctionDef, ast.Lambda, ast.Try))]
+    assert not [n for n in inner if isinstance(n, ast.Name) and n.id == kernel.name]
+
+
 def test_only_the_mask_build_keys_projections():
     # One caller and one memo: _commute_masks keys each projection pattern
     # once per call, so no other code computes keys past that memo.

@@ -25,6 +25,7 @@ from graphgroups import (  # noqa: E402
     trace_normal_form,
 )
 from graphgroups import commgraph  # noqa: E402
+from graphgroups.graphs import _closed_masks, _forward_check  # noqa: E402
 from graphgroups.trace import _follow_table, check_letters  # noqa: E402
 from oracles import (  # noqa: E402
     commutator_trivial,
@@ -32,6 +33,7 @@ from oracles import (  # noqa: E402
     greedy_lex_normal_letters,
     letters_checked_one_by_one,
     pairwise_commute_masks,
+    plain_forward_check,
     raw_word_ball,
     two_pass_reduce,
 )
@@ -370,6 +372,30 @@ def test_follow_mask_matches_insertion(case):
         follow = keep[i] | follow & up[i]
     for i, l in enumerate(alphabet):
         assert bool(follow >> i & 1) == (GroupElement._inserted(graph, w, (l,)).letters == w + (l,))
+
+
+@st.composite
+def kernel_inputs(draw):
+    """Wanted edges among at most six variables, the closed-neighbourhood
+    masks of a graph on at most eight vertices, and domains for a suffix of
+    the variables: all of them, or all but the first one or two. Each domain
+    is the whole pool or any subset of it."""
+    n, masks = draw(st.integers(0, 6)), _closed_masks(graphs(draw, 8))
+    full = (1 << len(masks)) - 1
+    domain = st.one_of(st.just(full), st.integers(0, full))
+    want_edge = [draw(st.lists(st.booleans(), min_size=k, max_size=k)) for k in range(n - 1, -1, -1)]
+    return want_edge, masks, [draw(domain) for _ in range(max(n - draw(st.integers(0, 2)), 0))]
+
+
+@SETTINGS
+@given(kernel_inputs(), st.booleans())
+def test_forward_check_matches_the_plain_kernel(case, strict):
+    # The stack's frames, the chosen candidates and the replayed counts of
+    # failed states against the recursive, memo-free search. A few examples
+    # in a hundred meet a failed state again.
+    want_edge, masks, domains = case
+    expected = plain_forward_check(want_edge, masks, domains, strict)
+    assert _forward_check(want_edge, masks, domains, strict) == expected
 
 
 DIGIT_GRAPH = Graph(["1", "2", "a", "b"], [("1", "a")])
