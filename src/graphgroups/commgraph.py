@@ -18,7 +18,6 @@ from .graphs import Graph, _closed_masks, _forward_check, _iter_bits
 from .raag import GroupElement, group_commute, group_reduce
 from .trace import (
     Word,
-    _coordinates,
     _follow_table,
     _inverse,
     _root,
@@ -170,10 +169,15 @@ def _commute_masks(mode, pool):
     """Per-candidate bitmask of the pool members it commutes with (every
     element commutes with itself), in three steps.
 
-    1. Keys: per non-adjacent pair, element i keeps the members whose
-       projection is trivial or has the key of its own (``_projection_key``).
-       In the monoid that is the commutation test itself. Keys are compared
-       within a pair, so each pattern over the free pair is keyed once.
+    1. Keys: the pool's letter tuples form a prefix tree, built once (a
+       ``_ball`` pool lists each parent before its children; other pools add
+       their missing prefixes as nodes). Per non-adjacent pair x, y, a node
+       takes its parent's pattern, extended by its last letter relabelled
+       onto ``_FREE_PAIR`` when that letter's base is x or y: one step per
+       node and pair. Element i keeps the members whose pattern is trivial or
+       has the key of its own (``_projection_key``). In the monoid that is
+       the commutation test itself. Keys are compared within a pair, so each
+       pattern a member carries is keyed once per call.
     2. Total commutation (group): v commutes with u when supp(v) lies in the
        AND of the closed neighbourhoods over supp(u): ``raag.commutes_totally``
        on bitmasks, the link factor of Servatius' centralizer theorem.
@@ -184,24 +188,48 @@ def _commute_masks(mode, pool):
     """
     if not pool:
         return []
-    graph = pool[0].graph
-    pairs = graph.non_adjacent_pairs()
+    graph, group = pool[0].graph, mode == "group"
+    nodes, at = {(): 0}, []  # the prefix tree, letters -> node; each member's node
+    parents, lasts = [], []  # of node n > 0 at n - 1: its parent and its last letter
+    for e in pool:
+        w = e.letters
+        n, k = nodes.get(w), len(w)
+        while n is None:  # climb to the longest prefix already in the tree
+            k -= 1
+            n = nodes.get(w[:k])
+        for k in range(k + 1, len(w) + 1):
+            parents.append(n)
+            lasts.append(w[k - 1])
+            n = nodes[w[:k]] = len(lasts)
+        at.append(n)
     masks = [(1 << len(pool)) - 1] * len(pool)
-    known, signed = {}, mode == "group"  # pattern -> key, shared by the pairs of this call
-    for (x, y), projections in zip(pairs, zip(*(_coordinates(e, (), pairs, signed) for e in pool))):
+    known = {}  # pattern -> key, shared by the pairs of this call
+    for x, y in graph.non_adjacent_pairs():
         free = {x: "a", y: "b"}  # the group relabels letters and keeps their signs
-        free = {(v, e): (n, e) for v, n in free.items() for e in (1, -1)} if signed else free
-        pattern = {s: tuple([free[l] for l in s]) for s in set(projections)}  # each distinct once
-        for p in set(pattern.values()).difference(known):
-            known[p] = _projection_key(mode, p)
-        keys = [known[pattern[s]] for s in projections]
+        free = {(v, e): (n, e) if group else n for v, n in free.items() for e in (1, -1)}
+        ids, patterns, step = [0], [()], {}  # node -> id; id -> pattern; (id, letter) -> id
+        for parent, letter in zip(parents, lasts):
+            f = free.get(letter)
+            if f is None:  # a base other than x, y: the parent's pattern
+                ids.append(ids[parent])
+                continue
+            grown = ids[parent], f
+            i = step.get(grown)
+            if i is None:
+                i = step[grown] = len(patterns)
+                patterns.append(patterns[grown[0]] + (f,))
+            ids.append(i)
+        for i in {ids[n] for n in at}:  # the patterns members carry, not bare prefixes
+            if patterns[i] not in known:
+                known[patterns[i]] = _projection_key(mode, patterns[i])
+        keys = [known[patterns[ids[n]]] for n in at]
         classes = {}
         for i, key in enumerate(keys):
             classes[key] = classes.get(key, 0) | 1 << i
         for i, key in enumerate(keys):
             if key is not None:
                 masks[i] &= classes.get(None, 0) | classes[key]
-    long = mode == "group" and sum(1 << i for i, e in enumerate(pool) if len(e.letters) > 2)
+    long = group and sum(1 << i for i, e in enumerate(pool) if len(e.letters) > 2)
     if long:  # two elements of length <= 2: the keys are exact
         closed, bit = _closed_masks(graph), {v: 1 << k for k, v in enumerate(graph.vertices)}
         supports, total = {}, {}  # support -> its members; link -> members inside it

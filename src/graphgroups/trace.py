@@ -171,18 +171,15 @@ def _require_same_graph(u, v):
 # -- projections -------------------------------------------------------
 
 
-def _coordinates(word, vertices, pairs, signed=False):
+def _coordinates(word, vertices, pairs):
     """Projections of a word, lazily: the letter count of each vertex in
     ``vertices`` (rank-1), then the base subsequence of each pair in
-    ``pairs`` (rank-2), or with ``signed`` its letter subsequence."""
+    ``pairs`` (rank-2)."""
     letters = word.letters
     for x in vertices:
         yield sum(1 for b, _ in letters if b == x)
     for x, y in pairs:  # tuple(generator) would resize, filling CPython's tuple free lists
-        if signed:
-            yield tuple([l for l in letters if l[0] == x or l[0] == y])
-        else:
-            yield tuple([b for b, _ in letters if b == x or b == y])
+        yield tuple([b for b, _ in letters if b == x or b == y])
 
 
 def project_rho(word, x):

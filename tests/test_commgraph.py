@@ -302,21 +302,50 @@ class TestCommuteMasks:
     def test_each_pattern_is_keyed_once_per_call(self, mode, max_len):
         # Keys are compared within one pair only, so each pair x, y relabels
         # its projections (x as a, y as b, signs kept in the group), and one
-        # call keys each distinct pattern once, whichever pairs share it.
+        # call keys each distinct pattern once, whichever pairs share it. A
+        # pool of the longest powers of one letter adds their prefixes to the
+        # tree as nodes, whose shorter powers no member carries: those are
+        # not keyed.
         graph = standard_graph("cycle(5)")
-        pool = canonical_elements(graph, mode, max_len)
-        patterns = set()
-        for x, y in graph.non_adjacent_pairs():
-            free = {x: "a", y: "b"}
-            for e in pool:
-                kept = tuple((free[b], s) for b, s in e.letters if b in free)
-                patterns.add(kept if mode == "group" else tuple(b for b, _ in kept))
-        wrapped = mock.patch.object(commgraph, "_projection_key", wraps=commgraph._projection_key)
-        with wrapped as key:
-            _commute_masks(mode, pool)
-            assert key.call_count == len(patterns)
-            _commute_masks(mode, pool)  # the memo lives for one call
-            assert key.call_count == 2 * len(patterns)
+        ball = canonical_elements(graph, mode, max_len)
+
+        def patterns(words):
+            found = set()
+            for x, y in graph.non_adjacent_pairs():
+                free = {x: "a", y: "b"}
+                for w in words:
+                    kept = tuple((free[b], s) for b, s in w if b in free)
+                    found.add(kept if mode == "group" else tuple(b for b, _ in kept))
+            return found
+
+        powers = [e for e in ball if len(e.letters) == max_len and len(set(e.letters)) == 1]
+        prefixes = {e.letters[:k] for e in powers for k in range(max_len)}
+        assert patterns(prefixes) - patterns(e.letters for e in powers)
+        for pool in (ball, powers):
+            carried = patterns(e.letters for e in pool)
+            wrapped = mock.patch.object(commgraph, "_projection_key", wraps=commgraph._projection_key)
+            with wrapped as key:
+                _commute_masks(mode, pool)
+                assert key.call_count == len(carried)
+                _commute_masks(mode, pool)  # the memo lives for one call
+                assert key.call_count == 2 * len(carried)
+
+    @pytest.mark.parametrize("mode, max_len", [("group", 2), ("monoid", 3)])
+    def test_masks_match_pairwise_tests_out_of_ball_order(self, mode, max_len):
+        # The prefix tree must not rest on _ball order: children before their
+        # parents, repeated members, and members whose prefixes are not members.
+        for graph in all_graphs_up_to(4):
+            ball = canonical_elements(graph, mode, max_len)
+            longest = [e for e in ball if len(e.letters) == max_len]
+            for pool in (ball[::-1], ball + ball[::3], longest):
+                assert _commute_masks(mode, pool) == pairwise_commute_masks(mode, pool)
+
+    def test_group_masks_match_pairwise_tests_without_the_prefixes(self):
+        # The length-3 members of cycle(5)'s group ball alone: no proper
+        # prefix is a member, and the exact test runs on the pairs keys leave.
+        ball = canonical_elements(standard_graph("cycle(5)"), "group", 3)
+        pool = [e for e in ball if len(e.letters) == 3]
+        assert _commute_masks("group", pool) == pairwise_commute_masks("group", pool)
 
     def test_exact_test_clears_pair_with_trivial_projections(self):
         # Every rank-2 projection of g is trivial (acceptance test 10), yet g

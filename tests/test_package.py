@@ -94,6 +94,12 @@ def test_the_forward_checking_kernel_is_one_loop():
     assert not [n for n in inner if isinstance(n, ast.Name) and n.id == kernel.name]
 
 
+def test_only_trace_projects_words():
+    # One projection: the mask build grows its patterns along the pool's
+    # prefix tree, so _coordinates serves trace alone.
+    assert {file for file, _ in _places("_coordinates")} == {"trace.py"}
+
+
 def test_only_the_mask_build_keys_projections():
     # One caller and one memo: _commute_masks keys each projection pattern
     # once per call, so no other code computes keys past that memo.
