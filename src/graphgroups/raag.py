@@ -21,7 +21,9 @@ structure per element, cached for the last 64: pure factors of cyclically
 reduced elements (one primitive commuting piece per co-component of the
 support) and centralizer witnesses p k1 k2 p^-1 (k1 a product of pure-factor
 powers, k2 commuting totally with the cyclic reduction) read off projections
-by Servatius' theorem, with no commutation test.
+by Servatius' theorem, with no commutation test. The structure also holds
+the element's refusal record, p^-1, and each block's pure-factor powers,
+filled on demand.
 """
 
 from __future__ import annotations
@@ -288,18 +290,35 @@ class CentralizerOutcome(
         return w.p * k1 * w.k2 * w.p.inverse()
 
 
+class _Powers(dict):
+    """Letters of r**c by signed exponent c, each taken on its first lookup;
+    the cached structure holds one per block of more than one vertex."""
+
+    __slots__ = ("root",)
+
+    def __init__(self, root):
+        self.root = root
+
+    def __missing__(self, c):
+        letters = self[c] = (self.root ** c).letters
+        return letters
+
+
 @functools.lru_cache(maxsize=64)
 def _centralizer_structure(g):
     """g = p h p^-1, the pure factors r of h, and as sets of signed letters
     the star of supp h (supp h and every vertex adjacent to all of it), each
-    block with r and r^-1 (no letters and no r^-1 for a one-vertex block)
-    and the rest of the star, for a reduced g (the key holds its graph).
+    block with r and the powers of r (no letters and no powers for a
+    one-vertex block) and the rest of the star, for a reduced g (the key
+    holds its graph); then g's refusal and p^-1's letters (None when p is
+    empty).
     h's letters on a block (a co-component of supp h) are in normal form, as
     all its other letters commute with them, and powers of a block multiply
     without cancellation, so a root is a trace prefix of them (``_root``)."""
     decomposition = cyclic_reduce(g)
     letters = lambda vertices: frozenset(itertools.product(vertices, (1, -1)))
-    graph, h, supp = g.graph, decomposition.h, decomposition.h.support()
+    graph, (p, h) = g.graph, decomposition
+    supp = h.support()
     star = letters(supp.union(v for v in graph.vertices if supp <= graph.neighbors(v)))
     factors, blocks = [], []
     for block in map(letters, co_components(graph, supp)):
@@ -307,9 +326,12 @@ def _centralizer_structure(g):
         root, k = _root(piece, lambda r, k: lex_normal_letters(graph, r * k) == piece)
         r = GroupElement._inserted(graph, (), root)
         factors.append((r, k))
-        blocks.append((block, r, r.inverse()) if r.length > 1 else (frozenset(), r, None))
+        blocks.append((block, r, _Powers(r)) if r.length > 1 else (frozenset(), r, None))
     rest = star.difference(*(block for block, _, _ in blocks))
-    return decomposition, PureFactorization(tuple(factors)), star, tuple(blocks), rest
+    factorization = PureFactorization(tuple(factors))
+    refused = CentralizerOutcome("proved-non-commuting", None, decomposition, factorization)
+    p_inverse = p.inverse().letters if p.letters else None
+    return decomposition, factorization, star, tuple(blocks), rest, refused, p_inverse
 
 
 def centralizer_witness(g, k):
@@ -326,26 +348,29 @@ def centralizer_witness(g, k):
     and as r_i^-1 does for c_i < 0 (r_i is cyclically reduced, so those
     first letters differ). A one-vertex block commutes with the whole star, so its c_i is
     0 and k2 = k1^-1 q is q without its letters on multi-vertex blocks.
-    p, h, the pure factors and the star are cached for the last 64 g; when
-    p is empty, a k with a letter off the star costs no insertion.
+    p, h, the pure factors, the star, the refusal and p^-1 are cached for
+    the last 64 g, with each block's powers r_i**c_i as they are first
+    compared; when p is empty, a k with a letter off the star, or refused at
+    a power already compared, costs no insertion.
     """
     g, k = _reduced_pair(g, k)
     graph = g.graph
-    decomposition, factorization, star, blocks, rest = _centralizer_structure(g)
-    refused = CentralizerOutcome("proved-non-commuting", None, decomposition, factorization)
+    decomposition, factorization, star, blocks, rest, refused, p_inverse = (
+        _centralizer_structure(g)
+    )
     p, q = decomposition.p, k.letters
-    if p.letters:
-        q = GroupElement._inserted(graph, (), _inverse(p.letters) + q + p.letters).letters
+    if p_inverse:
+        q = GroupElement._inserted(graph, p_inverse, q + p.letters).letters
     if not star.issuperset(q):
         return refused
     exponents = []
-    for block, root, inverse in blocks:
+    for block, root, powers in blocks:
         projection = tuple(filter(block.__contains__, q))
         c, off = divmod(len(projection), root.length)
         if projection:
             if projection[0] != root.letters[0]:
-                root, c = inverse, -c
-            if off or projection != (root ** abs(c)).letters:
+                c = -c
+            if off or projection != powers[c]:
                 return refused
         exponents.append(c)
     k2 = GroupElement._inserted(graph, tuple(filter(rest.__contains__, q)), ())

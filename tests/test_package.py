@@ -35,11 +35,11 @@ def test_star_import_binds_no_module_and_the_readme_example_names():
     assert names and names <= public.keys()
 
 
-def _places(name):
-    """(file, definition) of each place in the package that names name, as a
-    variable, an attribute or an import; the definition is a top-level one,
-    or ``Class.method`` inside a class, and None for a module-level
-    statement such as the import itself."""
+def _where(match):
+    """(file, definition) of each place in the package holding an AST node
+    that match accepts; the definition is a top-level one, or
+    ``Class.method`` inside a class, and None for a module-level statement
+    such as an import."""
     places = set()
     for path in sorted((ROOT / "src" / "graphgroups").glob("*.py")):
         for top in ast.parse(path.read_text(encoding="utf-8")).body:
@@ -48,14 +48,19 @@ def _places(name):
                 where = getattr(top, "name", None)
                 if item is not top and hasattr(item, "name"):
                     where = f"{where}.{item.name}"
-                for node in ast.walk(item):
-                    if (
-                        isinstance(node, ast.Name) and node.id == name
-                        or isinstance(node, ast.Attribute) and node.attr == name
-                        or isinstance(node, ast.alias) and name in (node.name, node.asname)
-                    ):
-                        places.add((path.name, where))
+                if any(map(match, ast.walk(item))):
+                    places.add((path.name, where))
     return places
+
+
+def _places(name):
+    """``_where`` the package names name, as a variable, an attribute or an
+    import."""
+    return _where(
+        lambda node: isinstance(node, ast.Name) and node.id == name
+        or isinstance(node, ast.Attribute) and node.attr == name
+        or isinstance(node, ast.alias) and name in (node.name, node.asname)
+    )
 
 
 def test_only_the_root_finder_names_the_prefix_generator():
@@ -71,6 +76,17 @@ def test_only_the_structure_build_finds_pure_factor_blocks_and_roots():
     for name in ("_root", "co_components"):
         in_raag = {place for place in _places(name) if place[0] == "raag.py"}
         assert in_raag == {("raag.py", None), ("raag.py", "_centralizer_structure")}
+
+
+def test_the_membership_test_takes_its_powers_from_the_structure_memo():
+    # centralizer_witness takes no power itself: each r**c it compares is
+    # taken once, on a miss of the per-block memo the cached structure holds.
+    powers = _where(lambda node: isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow))
+    assert {place for place in powers if place[0] == "raag.py"} == {
+        ("raag.py", "GroupElement.__pow__"),
+        ("raag.py", "PureFactorization.reconstruct"),
+        ("raag.py", "_Powers.__missing__"),
+    }
 
 
 def test_only_the_table_builds_the_pool_and_only_the_bounded_search_runs_the_kernel():

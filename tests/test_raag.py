@@ -601,3 +601,62 @@ class TestCentralizerWitness:
                         continue
                     witness = (out.witness.exponents, out.witness.k2)
                     assert witness == bounded_centralizer_reference(a, b)
+
+
+class TestCentralizerStructureMemo:
+    """The cached structure also holds g's refusal, p^-1 and each block's
+    powers r**c, filled as they are first compared."""
+
+    @staticmethod
+    def rendered(out):
+        w = out.witness
+        return out.status, w and (str(w.p), w.exponents, str(w.k2))
+
+    @pytest.mark.parametrize("graph", [C4, L3], ids=["C4", "L3"])
+    def test_outcomes_do_not_depend_on_the_cache(self, graph):
+        # Each g three ways over its whole ball: the ks in ball order and in
+        # reversed order (so longer powers are memoized first) on a structure
+        # warmed from cold, and every call from cold.
+        elements = ball(graph(), 3)
+        signs = set()
+        for g in elements:
+            forward, backward, blocks = [], [], []
+            for order, outcomes in ((elements, forward), (elements[::-1], backward)):
+                _centralizer_structure.cache_clear()
+                outcomes.extend(centralizer_witness(g, k) for k in order)
+                blocks.extend(_centralizer_structure(g)[3])
+            backward.reverse()
+            cold = []
+            for k in elements:
+                _centralizer_structure.cache_clear()
+                cold.append(centralizer_witness(g, k))
+            decomposition = cyclic_reduce(g)
+            assert {(out.decomposition, out.factorization) for out in forward + backward} == {
+                (decomposition, pure_factors(decomposition.h))
+            }
+            assert (
+                list(map(self.rendered, forward))
+                == list(map(self.rendered, backward))
+                == list(map(self.rendered, cold))
+            )
+            for _, root, powers in blocks:
+                for c, letters in (powers or {}).items():
+                    assert letters == (root**c).letters
+                    signs.add(c > 0)
+        assert signs == {True, False}
+
+    def test_refusals_at_the_star_and_at_a_known_power_run_no_insertion(self):
+        # Over the path w-x-y-z, g = w y has p empty, star {w, x, y} and one
+        # block {w, y} with root w y: z is refused at the star, and w y y w
+        # at the block once (w y)**2 has been compared.
+        graph = L3()
+        g, off_star, wrong_power = el(graph, "w y"), el(graph, "z"), el(graph, "w y y w")
+        _centralizer_structure.cache_clear()
+        assert centralizer_witness(g, el(graph, "w y w y")).witness.exponents == (2,)
+        refused = _centralizer_structure(g)[5]
+        assert refused.decomposition == cyclic_reduce(g)
+        for k in (off_star, wrong_power):
+            with mock.patch.object(raag, "_insert", wraps=raag._insert) as insert:
+                out = centralizer_witness(g, k)
+            assert insert.call_count == 0
+            assert out is refused
