@@ -35,6 +35,14 @@ def _check_mode(mode):
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
 
 
+def _check_max_len(max_len, least):
+    """Refuse a length bound that is not an int (a bool included) or is
+    below least, 0 or 1: a float radius would admit longer elements than
+    the report's bound says."""
+    if isinstance(max_len, bool) or not isinstance(max_len, int) or max_len < least:
+        raise ValueError(f"max_len must be a {'positive' if least else 'non-negative'} integer")
+
+
 class ElementFamily(collections.namedtuple("ElementFamily", "ambient mode members")):
     """An ordered family of canonical elements (duplicates permitted)."""
 
@@ -97,8 +105,7 @@ def canonical_elements(ambient, mode, max_len):
     is the ball of that radius), in ``_ball`` order. Positive letters never
     cancel, so in the monoid these are the trace normal forms."""
     _check_mode(mode)
-    if max_len < 0:
-        raise ValueError("max_len must be a non-negative integer")
+    _check_max_len(max_len, 0)
     if mode == "monoid":
         return [Word._of(ambient, w) for w, _, _ in _ball(ambient, mode, max_len)]
     return [GroupElement._inserted(ambient, w, ()) for w, _, _ in _ball(ambient, mode, max_len)]
@@ -292,8 +299,7 @@ def phi_search(target, ambient, mode, max_len, strict=False):
     returned. The search is a single depth-first pass, so reports are
     deterministic, and ``candidates`` is its count of assignments tried.
     """
-    if max_len < 1:
-        raise ValueError("max_len must be a positive integer")
+    _check_max_len(max_len, 1)
     _check_mode(mode)
     if not target.vertices:
         return RealizationReport(target, "found", {}, max_len, 0)

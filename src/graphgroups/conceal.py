@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import collections
 
-from .commgraph import ElementFamily, _ball
+from .commgraph import ElementFamily, _ball, _check_max_len
 from .graphs import Graph, _fresh_name, find_embedding, format_graph
 from .raag import GroupElement, group_commute
 from .trace import Word, _follow_table, _inverse
@@ -68,6 +68,8 @@ class ConcealmentResult(
 
     def apply_tau(self, word):
         """Image of a signed word over gamma under the substitution."""
+        if word.graph is not self.gamma and word.graph != self.gamma:
+            raise ValueError("word over a different ambient graph than gamma")
         letters = []
         for base, sign in word.letters:
             image = self.tau[base].letters
@@ -155,28 +157,49 @@ class TauInjectivityReport(
         return not self.morphism_failures and not self.collisions
 
 
+def _tau_steps(result, index, keep, up):
+    """Per letter l of gamma: tau(l)'s letters and its follow-mask steps over
+    omega (``trace._follow_table``) folded into one (need, kept, passed).
+    tau(l) appends to an image with follow mask f exactly when f holds need,
+    and the mask becomes kept | f & passed. A letter that neither kept nor
+    passed holds puts the bit ``len(index)``, which no mask holds, into need:
+    such a tau(l) is no normal form and is never appended."""
+    never = 1 << len(index)
+    steps = {}
+    for v in result.gamma.vertices:
+        for s in (1, -1):
+            tail = result.apply_tau(Word._of(result.gamma, ((v, s),))).letters
+            need, kept, passed = 0, 0, never - 1
+            for i in map(index.get, tail):
+                if not kept >> i & 1:
+                    need |= 1 << i if passed >> i & 1 else never
+                kept, passed = keep[i] | kept & up[i], passed & up[i]
+            steps[v, s] = tail, need, kept, passed
+    return steps
+
+
 def _tau_images(result, max_len):
     """The ball of radius max_len as (element letters, image letters). As
     tau(w l) = tau(w) tau(l), tau(l) is appended to the parent's image with
-    one step of the image's follow mask over omega (``trace._follow_table``)
-    per letter when every letter is in the mask; otherwise it is inserted,
+    one composite step of the image's follow mask per ball letter
+    (``_tau_steps``) when the mask holds its need; otherwise it is inserted,
     and the mask is recomputed over the result."""
     _, index, keep, up = _follow_table(result.omega)
-    tau_of = {(v, s): result.apply_tau(Word._of(result.gamma, ((v, s),))).letters
-              for v in result.gamma.vertices for s in (1, -1)}
+    steps = _tau_steps(result, index, keep, up)
+    every = (1 << len(index)) - 1
     parents = []  # (image, follow mask) of the elements shorter than max_len
     for w, parent, last in _ball(result.gamma, "group", max_len):
-        image, follow = parents[parent] if w else ((), -1)  # -1: every letter
-        tail = tau_of.get(last, ())
-        for i in map(index.get, tail):
-            if not follow >> i & 1:
-                image, follow = GroupElement._inserted(result.omega, image, tail).letters, -1
+        if not w:
+            image, follow = (), every
+        else:
+            image, follow = parents[parent]
+            tail, need, kept, passed = steps[last]
+            if follow & need == need:
+                image, follow = image + tail, kept | follow & passed
+            else:
+                image, follow = GroupElement._inserted(result.omega, image, tail).letters, every
                 for j in map(index.get, image):
                     follow = keep[j] | follow & up[j]
-                break
-            follow = keep[i] | follow & up[i]
-        else:
-            image += tail
         if len(w) < max_len:
             parents.append((image, follow))
         yield w, image
@@ -187,8 +210,7 @@ def verify_tau_injective(result, max_len):
     the ball of canonical elements of length <= max_len. Images come from
     ``_tau_images`` and are hashed: a collision of images is exactly a pair
     of distinct elements the morphism identifies."""
-    if max_len < 1:
-        raise ValueError("max_len must be a positive integer")
+    _check_max_len(max_len, 1)
     gamma = result.gamma
     failures = [
         (a, b)

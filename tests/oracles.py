@@ -4,7 +4,8 @@ Everything here deliberately avoids the library's production code paths:
 graph enumeration by edge-mask orbits, embedding by scanning all injections
 (and the first embedding by plain backtracking in ``find_embedding``'s
 order, checking adjacency by name), positive words by plain products,
-clique number by scanning all subsets, co-components by merging the classes
+clique number by scanning all subsets, group ball sizes by Chiswell's
+growth series over the cliques so found, co-components by merging the classes
 of non-adjacent pairs, geodesic length, word equivalence
 and primitive roots by breadth-first closure over the elementary rewriting
 moves (swap adjacent commuting letters, cancel an adjacent inverse pair),
@@ -19,6 +20,7 @@ the letter check by one pass per letter, as it was before the bulk test.
 """
 
 import itertools
+from fractions import Fraction
 
 from graphgroups import Graph, Word, trace_commute
 
@@ -140,6 +142,32 @@ def brute_force_clique_number(g):
             if all(g.adjacent(u, v) for u, v in itertools.combinations(subset, 2)):
                 return size
     return best
+
+
+def group_ball_size(graph, radius):
+    """Elements of length <= radius in the graph group, from Chiswell's
+    growth series of a graph product of copies of Z ("The growth series of a
+    graph product", Bull. LMS 26, 1994): 1 / sum over the cliques C, the
+    empty one included, of (-2t/(1+t))^|C|. Cliques by scanning every vertex
+    subset; the series in Fraction coefficients up to t^radius, summed."""
+    n = radius + 1
+    sizes = [0] * (len(graph) + 1)
+    for size in range(len(graph) + 1):
+        for subset in itertools.combinations(graph.vertices, size):
+            if all(graph.adjacent(u, v) for u, v in itertools.combinations(subset, 2)):
+                sizes[size] += 1
+    x = [Fraction(0)] + [Fraction(2 * (-1) ** k) for k in range(1, n)]  # -2t/(1+t)
+    power = [Fraction(1)] + [Fraction(0)] * (n - 1)  # x^size
+    denominator = [Fraction(0)] * n
+    for count in sizes:
+        denominator = [d + count * c for d, c in zip(denominator, power)]
+        power = [sum(power[i] * x[k - i] for i in range(k + 1)) for k in range(n)]
+    series = [Fraction(1)]  # denominator[0] is 1, for the empty clique
+    for k in range(1, n):
+        series.append(-sum(denominator[i] * series[k - i] for i in range(1, k + 1)))
+    total = sum(series)
+    assert total.denominator == 1
+    return int(total)
 
 
 def follow_table_by_pairs(graph):

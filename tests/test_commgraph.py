@@ -142,6 +142,13 @@ class TestCanonicalElements:
         with pytest.raises(ValueError):
             canonical_elements(C4(), mode, max_len)
 
+    @pytest.mark.parametrize("mode", ["monoid", "group"])
+    @pytest.mark.parametrize("max_len", [2.5, 3.0, True])
+    def test_radius_that_is_no_int_rejected(self, mode, max_len):
+        # 2.5 once gave the radius-3 ball; True passed as 1.
+        with pytest.raises(ValueError, match="max_len must be a non-negative integer"):
+            canonical_elements(C4(), mode, max_len)
+
 
 class TestCommutesAlong:
     def test_generators_commute_along_their_graph(self):
@@ -215,6 +222,13 @@ class TestPhiSearch:
     def test_bad_max_len_rejected(self):
         with pytest.raises(ValueError):
             phi_search(C4(), C4(), "group", 0)
+
+    @pytest.mark.parametrize("max_len", [1.5, 2.5, 3.0, True])
+    def test_max_len_that_is_no_int_rejected(self, max_len):
+        # 1.5 once searched the pool of length <= 2 and reported bound=1.5.
+        with pytest.raises(ValueError, match="max_len must be a positive integer"):
+            phi_search(C4(), C4(), "group", max_len)
+        assert phi_search(C4(), C4(), "group", 1).bound == 1
 
     def test_serialization_format(self):
         g = standard_graph("C4")

@@ -17,7 +17,14 @@ from graphgroups import (
     verify_no_embedding,
     verify_tau_injective,
 )
-from oracles import all_graphs_up_to, all_graphs_up_to_iso, is_isomorphic
+from graphgroups.trace import _follow_table
+from oracles import (
+    all_graphs_up_to,
+    all_graphs_up_to_iso,
+    follow_table_by_pairs,
+    group_ball_size,
+    is_isomorphic,
+)
 
 
 def three_isolated():
@@ -105,6 +112,11 @@ class TestVerification:
         expected = sum(4 if b == result.e else 1 for b, _ in word.letters)
         assert len(image) == expected
 
+    def test_word_over_another_graph_refused(self):
+        result = build_concealment(three_isolated())
+        with pytest.raises(ValueError, match="different ambient graph"):
+            result.apply_tau(Word.parse(Graph(["x"]), "x"))
+
     def test_tau_respects_inverses(self):
         result = build_concealment(three_isolated())
         word = Word.parse(result.gamma, "e e'")
@@ -124,6 +136,24 @@ class TestVerification:
         with pytest.raises(ValueError):
             verify_tau_injective(result, bound)
 
+    @pytest.mark.parametrize("bound", [2.5, 3.0, True])
+    def test_bound_that_is_no_int_rejected(self, bound):
+        # 2.5 once walked the radius-3 ball and reported bound=2.5; True
+        # passed as 1.
+        result = build_concealment(three_isolated())
+        with pytest.raises(ValueError, match="max_len must be a positive integer"):
+            verify_tau_injective(result, bound)
+        assert verify_tau_injective(result, 2).bound == 2
+
+    def test_the_ball_is_complete_by_the_growth_series(self):
+        # element_count against Chiswell's growth series, so a ball element
+        # dropped or repeated fails even where no collision shows.
+        cases = ((all_graphs_up_to(5), 3), (all_graphs_up_to_iso(6), 3), (all_graphs_up_to(4), 4))
+        for graphs, max_len in cases:
+            for gamma in filter(eligible, graphs):
+                report = verify_tau_injective(build_concealment(gamma), max_len)
+                assert report.element_count == group_ball_size(gamma, max_len)
+
     def test_morphism_well_defined_on_all_eligible_graphs(self):
         for gamma in all_graphs_up_to(5):
             if not eligible(gamma):
@@ -133,12 +163,28 @@ class TestVerification:
             assert report.morphism_failures == ()
 
 
-def hand_built(gamma, images):
+def hand_built(gamma, images, edges=()):
     """A concealment result over gamma with the given generator images in
-    the two-letter omega x, y (no eligibility or construction checks)."""
-    omega = Graph(["x", "y"])
+    the omega on x, y, z with the given edges (no eligibility or
+    construction checks)."""
+    omega = Graph(["x", "y", "z"], edges)
     tau = {v: Word.parse(omega, images[v]) for v in gamma.vertices}
     return ConcealmentResult(gamma, omega, "e", "f", "g", "x", "y", tau)
+
+
+def composite_cases():
+    """Hand-built substitutions over three isolated vertices for the
+    composite step. The first three send a letter to a word that is no
+    normal form over omega (y x with x, y adjacent, and words that cancel),
+    so that word is never appended. Over the path x - y - z, z x is appended,
+    but y then is not, although y may follow x alone."""
+    cases = (
+        ({"e": "y x", "f": "x", "g": "y"}, [("x", "y")]),
+        ({"e": "x", "f": "y x y'", "g": "x y"}, [("x", "y")]),
+        ({"e": "x x'", "f": "y", "g": "x y' y x"}, []),
+        ({"e": "z x", "f": "y", "g": "x z'"}, [("x", "y"), ("y", "z")]),
+    )
+    return [hand_built(three_isolated(), images, edges) for images, edges in cases]
 
 
 class TestTauFailures:
@@ -168,17 +214,53 @@ class TestTauFailures:
         # tau(w) at once. Every eligible graph on <= 5 vertices at radius 3,
         # the 95 on 6 vertices at radius 2, and those on <= 4 at radius 4:
         # a stale mask after an insertion first shows at radius 4.
+        # The hand-built substitutions add images that are always inserted,
+        # and a mask that its last letter alone would overstate.
         cases = ((all_graphs_up_to(5), 3), (all_graphs_up_to_iso(6), 2), (all_graphs_up_to(4), 4))
-        for graphs, max_len in cases:
-            for gamma in filter(eligible, graphs):
-                result = build_concealment(gamma)
-                pairs = list(conceal_module._tau_images(result, max_len))
-                ball = canonical_elements(gamma, "group", max_len)
-                assert [w for w, _ in pairs] == [e.letters for e in ball]
-                direct = [result.apply_tau(e.word()).letters for e in ball]
-                assert [image for _, image in pairs] == [
-                    GroupElement(result.omega, image).letters for image in direct
-                ]
+        results = [
+            (build_concealment(gamma), max_len)
+            for graphs, max_len in cases
+            for gamma in filter(eligible, graphs)
+        ]
+        results += [(result, 3) for result in composite_cases()]
+        for result, max_len in results:
+            pairs = list(conceal_module._tau_images(result, max_len))
+            ball = canonical_elements(result.gamma, "group", max_len)
+            assert [w for w, _ in pairs] == [e.letters for e in ball]
+            direct = [result.apply_tau(e.word()).letters for e in ball]
+            assert [image for _, image in pairs] == [
+                GroupElement(result.omega, image).letters for image in direct
+            ]
+
+    def test_composite_steps_match_stepping_letter_by_letter(self):
+        # For every eligible graph on <= 6 vertices and the hand-built
+        # substitutions, every follow mask an image of its radius-3 ball
+        # reaches and every letter l: the composite step appends tau(l)
+        # exactly when stepping its letters one at a time over the pairwise
+        # table keeps each in the mask, and then gives the same mask.
+        results = [build_concealment(gamma) for gamma in filter(eligible, all_graphs_up_to(6))]
+        for result in results + composite_cases():
+            _, index, keep, up = follow_table_by_pairs(result.omega)
+
+            def stepped(follow, letters):
+                for i in map(index.get, letters):
+                    if not follow >> i & 1:
+                        return None
+                    follow = keep[i] | follow & up[i]
+                return follow
+
+            reached = {
+                stepped((1 << len(index)) - 1, image)
+                for _, image in conceal_module._tau_images(result, 3)
+            }
+            assert None not in reached
+            steps = conceal_module._tau_steps(result, *_follow_table(result.omega)[1:])
+            assert steps.keys() == {(v, s) for v in result.gamma.vertices for s in (1, -1)}
+            for (v, s), (tail, need, kept, passed) in steps.items():
+                assert tail == result.apply_tau(Word._of(result.gamma, ((v, s),))).letters
+                for follow in reached:
+                    composite = kept | follow & passed if follow & need == need else None
+                    assert composite == stepped(follow, tail)
 
 
 class TestPhiWitness:

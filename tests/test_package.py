@@ -100,6 +100,17 @@ def test_only_the_table_builds_the_pool_and_only_the_bounded_search_runs_the_ker
     assert in_commgraph == {("commgraph.py", None), ("commgraph.py", "_bounded_search")}
 
 
+def test_the_ball_is_walked_in_one_place():
+    # One ball walk: the pool and the conceal images both read _ball, so no
+    # second walk over follow masks grows inside conceal.
+    assert _places("_ball") == {
+        ("commgraph.py", "canonical_elements"),
+        ("conceal.py", None),
+        ("conceal.py", "_tau_images"),
+    }
+    assert not {place for place in _places("_iter_bits") if place[0] == "conceal.py"}
+
+
 def test_the_forward_checking_kernel_is_one_loop():
     # No nested function, no call to itself and no try: the search depth
     # rests on the kernel's own stack, so no recursion limit can refuse it.
